@@ -7,8 +7,6 @@ Subpackages are organized per capability:
 * moyal        - flat star product, symplectic Fourier, Weyl kernels
 * matrix_basis - Laguerre matrix basis, coefficient transforms, GBV norms
 * symmetry     - commutator identities, Sobolev/Schwartz norms, plane-wave law
-* jgroup       - solvable-group star product, intertwiner, quantizer
-* io           - file formats (HDQ1 / HDQM1 / HDQS1, algebra JSON)
 """
 
 __version__ = "0.1.0"

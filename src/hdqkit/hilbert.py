@@ -3,7 +3,7 @@
 An algebra is stored by structure constants, an involution matrix and a Gram
 matrix. All operator-level verification happens in the orthonormal frame
 W (gram = W†W), where adjoints are plain conjugate transposes and the
-antilinear involution acts as v -> C ยท conj(v) for a unitary C.
+antilinear involution acts as v -> C · conj(v) for a unitary C.
 
 Conventions
 -----------
@@ -16,7 +16,7 @@ Conventions
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable, Literal
 
 import numpy as np
@@ -524,7 +524,7 @@ def change_basis(alg: FiniteHilbertAlgebra, q: np.ndarray,
                  name: str | None = None) -> FiniteHilbertAlgebra:
     """Rewrite the algebra in the basis f_i = sum_a q[a,i] e_a (q invertible)."""
     qinv = np.linalg.inv(q)
-    c = np.einsum("ai,bj,abm,mk->ijk", q, q, alg.structure, qinv)
+    c = np.einsum("ai,bj,abm,km->ijk", q, q, alg.structure, qinv)
     # new coords v correspond to old coords q v; the old star is S^T conj(qv),
     # mapped back by qinv, so the new star matrix satisfies
     # S'^T = qinv @ S^T @ conj(q)

@@ -20,9 +20,9 @@ against the direct quadrature below, not assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Literal, Sequence
+from typing import Literal, Sequence
 
 import numpy as np
 
@@ -31,6 +31,14 @@ from .errors import QuadratureError, ResourceError, SpecMismatch
 Side = Literal["left", "right"]
 
 _MAX_GRID_ENTRIES = 1 << 26  # memory gate for n = 2 grids
+
+# split_pairs probe schedule: widths 8, 32, 128, ... while the width is below
+# 1/16 of the M^2 x M^2 pair matrix's side, then a dense SVD.  At M = 32 a
+# full-rank input wastes probes of 8 and 32 columns before the 1024 x 1024
+# SVD, a few percent of its time.
+_PROBE_START = 8
+_PROBE_GROWTH = 4
+_DENSE_SHARE = 16
 
 
 @dataclass(frozen=True)
@@ -234,11 +242,6 @@ def _dressing_phase(spec: GridSpec) -> np.ndarray:
     return np.exp(0.5j * spec.theta * np.outer(xq, xp))
 
 
-def _mode_split(f: GridFunction) -> np.ndarray:
-    """Full 2-d mode coefficients for n=1 grids."""
-    return to_modes(f)
-
-
 def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray,
                    spec: GridSpec,
                    pairs: Sequence[tuple[int, int]]) -> np.ndarray:
@@ -273,14 +276,20 @@ def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray,
 def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
     """Full-grid star product via plane-wave decomposition.
 
-    n=1 runs the mixed-representation path directly; n=2 factors both inputs
-    across the two symplectic pairs by a singular value split (the product
-    kernel is exact on each tensor factor) and recombines.
+    n=1 runs the mixed-representation path directly.  For n=2 the product
+    kernel factors over the two symplectic pairs, so the pair law
+        (sum_a u_a x v_a) * (sum_b u'_b x v'_b)
+            = sum_{a,b} (u_a * u'_b) x (v_a * v'_b)
+    is exact.  split_pairs gives the factors of both inputs by a randomized
+    truncated SVD (an O(M^4 r) range finder for rank r, ending in a dense
+    SVD only for near-full-rank input); moyal_fast_many forms all r_f r_g
+    factor products on each pair; one GEMM over the pairs sums the tensor
+    products.
     """
     spec = _same_spec(f, g)
     if spec.n == 1:
-        fh = _mode_split(f)[None, :, :]
-        gh = _mode_split(g)[None, :, :]
+        fh = to_modes(f)[None, :, :]
+        gh = to_modes(g)[None, :, :]
         out = _fast_pairs_2d(fh, gh, spec, [(0, 0)])[0]
         return GridFunction(spec, out)
     if spec.n == 2:
@@ -304,8 +313,8 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction],
         if len(fs) != len(gs):
             raise SpecMismatch("without explicit pairs, need equal-length lists")
         pairs = [(i, i) for i in range(len(fs))]
-    fhats = np.stack([_mode_split(fn) for fn in fs])
-    ghats = np.stack([_mode_split(gn) for gn in gs])
+    fhats = np.stack([to_modes(fn) for fn in fs])
+    ghats = np.stack([to_modes(gn) for gn in gs])
     results: list[GridFunction] = []
     for lo in range(0, len(pairs), chunk):
         sel = pairs[lo:lo + chunk]
@@ -324,17 +333,48 @@ def split_pairs(f: GridFunction, cutoff: float = 1e-12
                 ) -> tuple[list[np.ndarray], list[np.ndarray], GridSpec, GridSpec]:
     """Singular value split of a 4-d function across its symplectic pairs.
 
-    Returns factors u_r(q1, p1), v_r(q2, p2) with f = sum_r u_r x v_r.
+    Returns factors u_r(q1, p1), v_r(q2, p2) with f = sum_r u_r x v_r, where
+    u_r = s_r a_r and v_r = b_r^H for the singular triplets (s_r, a_r, b_r)
+    of the M^2 x M^2 pair matrix A[(q1, p1), (q2, p2)] with s_r > cutoff s_0.
+
+    The triplets come from the adaptive randomized range finder of Halko,
+    Martinsson & Tropp, "Finding structure with randomness" (SIAM Review 53,
+    2011), so a rank-r input costs O(M^4 r) instead of the O(M^6) of a dense
+    SVD.  Each step multiplies A by a complex Gaussian probe block of width k
+    (drawn from a fixed seed, so a call is deterministic), orthonormalises
+    the result to Q by QR and takes the small SVD of B = Q^H A.  The step is
+    accepted when the explicitly computed ||A - Q B||_F <= cutoff s_0.  Then
+    every singular value of A that the span of Q misses is below the same
+    cutoff s_0 that truncates the result, and the triplets of B agree with
+    those of A to within it.  Otherwise k grows by _PROBE_GROWTH.  Once k
+    reaches M^2 / _DENSE_SHARE a probe would cost a sizeable share of a
+    dense SVD, so the last step is the dense SVD of A itself.
     """
     spec = f.spec
     if spec.n != 2:
         raise SpecMismatch("pair split needs a 4-d grid")
     m = spec.M
-    mat = f.samples.transpose(0, 2, 1, 3).reshape(m * m, m * m)
-    u, s, vh = np.linalg.svd(mat, full_matrices=False)
-    keep = s > cutoff * max(s[0], 1e-300)
-    left = [u[:, r].reshape(m, m) * s[r] for r in np.flatnonzero(keep)]
-    right = [vh[r].reshape(m, m) for r in np.flatnonzero(keep)]
+    size = m * m
+    mat = f.samples.transpose(0, 2, 1, 3).reshape(size, size)
+    rng = np.random.default_rng(0)
+    k = _PROBE_START
+    while True:
+        if k >= size // _DENSE_SHARE:
+            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+            break
+        probe = rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k))
+        q, _ = np.linalg.qr(mat @ probe)
+        b = q.conj().T @ mat
+        ub, s, vh = np.linalg.svd(b, full_matrices=False)
+        resid = q @ b
+        resid -= mat
+        if np.linalg.norm(resid) <= cutoff * s[0]:
+            u = q @ ub
+            break
+        k *= _PROBE_GROWTH
+    keep = np.flatnonzero(s > cutoff * max(s[0], 1e-300))
+    left = [u[:, r].reshape(m, m) * s[r] for r in keep]
+    right = [vh[r].reshape(m, m) for r in keep]
     return left, right, _pair_spec(spec, 0), _pair_spec(spec, 1)
 
 
@@ -348,13 +388,12 @@ def _fast_4d(f: GridFunction, g: GridFunction) -> GridFunction:
     lg = [GridFunction(spec1, x) for x in gl]
     rf = [GridFunction(spec2, x) for x in fr]
     rg = [GridFunction(spec2, x) for x in gr]
-    prod1 = moyal_fast_many(lf, lg, pairs)
-    prod2 = moyal_fast_many(rf, rg, pairs)
-    acc = np.zeros((m, m, m, m), dtype=complex)
-    for p1, p2 in zip(prod1, prod2):
-        acc += np.multiply.outer(p1.samples, p2.samples)
-    # acc axes are (q1, p1, q2, p2); restore (q1, q2, p1, p2)
-    return GridFunction(spec, acc.transpose(0, 2, 1, 3))
+    prod1 = np.array([h.samples for h in moyal_fast_many(lf, lg, pairs)])
+    prod2 = np.array([h.samples for h in moyal_fast_many(rf, rg, pairs)])
+    # one GEMM sums the pair tensor products into rows (q1, p1) and columns
+    # (q2, p2); the (q1, q2, p1, p2) grid is a view of it
+    acc = prod1.reshape(len(pairs), m * m).T @ prod2.reshape(len(pairs), m * m)
+    return GridFunction(spec, acc.reshape(m, m, m, m).transpose(0, 2, 1, 3))
 
 
 # ---------------------------------------------------------------------------

@@ -459,6 +459,17 @@ def test_extend_isomorphism_identity_fixes_pair(s3):
     assert np.allclose(moved.right, pair.right, atol=1e-12)
 
 
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_change_basis_by_haar_unitary_keeps_axioms(m2, seed):
+    # a non-symmetric q tells c'[i,j,k] = ... qinv[k, m] from qinv[m, k]
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))
+    q = q * (np.diag(r) / np.abs(np.diag(r)))
+    report = hilbert.validate_axioms(hilbert.change_basis(m2, q))
+    assert report["associativity"] <= 1e-13
+    assert report["pass"]
+
+
 def test_extend_isomorphism_through_basis_permutation(z2):
     perm = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
     target = hilbert.change_basis(z2, perm)
