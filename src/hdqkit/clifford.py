@@ -26,35 +26,27 @@ _VERIFY_MAX_M = 4
 _DENSE_SOLVE_MAX_M = 2
 
 
-def _popcounts(masks: np.ndarray) -> np.ndarray:
-    out = np.zeros_like(masks)
-    work = masks.copy()
-    while work.any():
-        out += work & 1
-        work >>= 1
-    return out
-
-
 @lru_cache(maxsize=8)
 def _sign_table(m: int) -> np.ndarray:
-    """(d, d) int8 table of blade product signs, d = 4^m."""
+    """(d, d) int8 table of blade product signs, d = 4^m.
+
+    sign(I, J) = (-1)^(sum over k in I of |{j in J : j < k}|), accumulated
+    as a uint8 parity so that no (d, d) temporary is wider than a byte.
+    """
     n = 2 * m
-    d = 1 << n
-    ii = np.arange(d, dtype=np.int64)[:, None]
-    jj = np.arange(d, dtype=np.int64)[None, :]
-    swaps = np.zeros((d, d), dtype=np.int64)
+    idx = np.arange(1 << n, dtype=np.uint32)
+    parity = np.zeros((idx.size, idx.size), dtype=np.uint8)
     for k in range(n):
-        in_i = (ii >> k) & 1
-        below = jj & ((1 << k) - 1)
-        swaps += in_i * _popcounts(below)
-    return np.where(swaps & 1, -1, 1).astype(np.int8)
+        in_i = ((idx >> k) & 1).astype(np.uint8)
+        below = (np.bitwise_count(idx & ((1 << k) - 1)) & 1).astype(np.uint8)
+        parity ^= np.outer(in_i, below)
+    return 1 - 2 * parity.view(np.int8)
 
 
 @lru_cache(maxsize=8)
 def _star_signs(m: int) -> np.ndarray:
     """Involution signs (-1)^{|I|(|I|-1)/2} per blade."""
-    d = 1 << (2 * m)
-    sizes = _popcounts(np.arange(d, dtype=np.int64))
+    sizes = np.bitwise_count(np.arange(1 << (2 * m), dtype=np.uint32)).astype(np.int64)
     return np.where((sizes * (sizes - 1) // 2) & 1, -1, 1).astype(np.int8)
 
 

@@ -45,5 +45,9 @@ class ResourceError(HdqError):
     """A requested computation exceeds the desk-scale memory/time gates."""
 
 
+class InvalidArgument(HdqError, ValueError):
+    """An argument takes a value outside its documented choices."""
+
+
 class ParseError(HdqError):
     """A file or config payload does not match the documented format."""

@@ -66,6 +66,21 @@ def test_blade_involution_reverses_products(i, j):
     assert s * star[t] == star[i] * star[j] * sr
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_sign_table_matches_blade_product(m):
+    table = clifford._sign_table(m)
+    d = 1 << (2 * m)
+    want = [[clifford.blade_product(i, j, m)[0] for j in range(d)] for i in range(d)]
+    assert table.dtype == np.int8
+    assert np.array_equal(table, want)
+
+
+@given(st.integers(0, 4095), st.integers(0, 4095))
+@settings(max_examples=200)
+def test_sign_table_matches_blade_product_at_m6(i, j):
+    assert clifford._sign_table(6)[i, j] == clifford.blade_product(i, j, 6)[0]
+
+
 def test_generator_relations():
     x1, x2 = clifford.blade(1, 0b01), clifford.blade(1, 0b10)
     assert np.allclose(clifford.clifford_product(x1, x1).coeffs, clifford.unit(1).coeffs)
