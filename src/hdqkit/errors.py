@@ -30,7 +30,7 @@ class SpecMismatch(HdqError):
 
 
 class TruncationError(HdqError):
-    """Requested matrix truncation exceeds the supported range."""
+    """The grid does not resolve the requested matrix truncation."""
 
 
 class NotSquareIntegrable(HdqError):

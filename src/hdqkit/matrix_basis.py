@@ -11,6 +11,18 @@ in the raising direction is forced by the star-product kernel orientation:
 (q - i p) * b_00 = 0, so q - i p plays the annihilator role and b_mn acts
 like |m><n|.  Normalization: <b_mn, b_kl> = 2 pi theta d_mk d_nl and the
 integral of b_mm is 2 pi theta.
+
+The basis is sampled in factored form (the Hermite-Gaussian/Laguerre-
+Gaussian identity, Beijersbergen et al., Opt. Commun. 96, 1993):
+b_mn(q, p) = sum_k B_N[k, m] psi_k(q) psi_{N-k}(p) with N = m + n and psi_k
+the orthonormal Hermite function of s = x sqrt(2/theta).  Column m of B_N is
+2 sqrt(pi) times the two-mode state |m, N-m> with m quanta of the circular
+mode A = (a_q^+ + i a_p^+)/sqrt(2) and N - m of B = (a_q^+ - i a_p^+)/sqrt(2),
+in Cartesian quanta k.  The stable two-term step (as for Wigner d-matrices,
+Risbo 1996) N |m, N-m> = sqrt(m) A^+ |m-1, N-m> + sqrt(N-m) B^+ |m, N-m-1>
+builds it.  TruncationError means that the grid does not resolve the basis:
+psi_0 .. psi_{2 trunc - 2} sampled on an axis are not orthonormal to
+_GRAM_TOL, as they reach the box edge or outrun the spacing.
 """
 
 from __future__ import annotations
@@ -19,12 +31,13 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import expm
-from scipy.special import eval_genlaguerre, gammaln
 
-from .errors import NotSquareIntegrable, SpecMismatch, TruncationError
-from .moyal import GridFunction, GridSpec
+from .errors import NotSquareIntegrable, ResourceError, SpecMismatch, TruncationError
+from .moyal import _MAX_GRID_ENTRIES, GridFunction, GridSpec
 
-_TRUNC_CAP = 16
+# The Gram error of the sampled Hermite functions bounds the transforms'
+# round-trip error; 1e-12 is the basis benchmark's round-trip gate.
+_GRAM_TOL = 1e-12
 
 
 @dataclass
@@ -65,69 +78,78 @@ def _compatible(a: MatrixSymbol, b: MatrixSymbol) -> None:
 
 @dataclass
 class BasisCache:
-    """Sampled b_mn for m, n < trunc on one grid, built once and reused."""
+    """b_mn for m, n < trunc on one grid, in the factored form of the module docstring.
+
+    table holds psi_0 .. psi_{2 trunc - 2} on the q and p axes; blocks[N] is B_N.
+    """
 
     spec: GridSpec
     trunc: int
-    table: np.ndarray  # (trunc, trunc, M, M)
-
-    def function(self, m: int, n: int) -> GridFunction:
-        return GridFunction(self.spec, self.table[m, n])
+    table: np.ndarray  # (2, M, 2 trunc - 1), real
+    blocks: list[np.ndarray]  # blocks[N]: (N + 1, N + 1)
 
 
-def synthesize_basis(spec: GridSpec, trunc: int, cap: int = _TRUNC_CAP) -> BasisCache:
-    """Evaluate the closed-form basis on the grid for all m, n < trunc."""
+def synthesize_basis(spec: GridSpec, trunc: int) -> BasisCache:
+    """Sample the Hermite factors of b_mn, m, n < trunc, on the grid."""
     if spec.n != 1:
         raise SpecMismatch("the matrix basis is a one-pair construction")
     if trunc < 1:
         raise SpecMismatch("truncation must be at least 1")
-    if trunc > cap:
-        raise TruncationError(
-            f"truncation {trunc} above the cap {cap}; Laguerre growth untested there")
-    th = spec.theta
-    q = spec.axis(0)[:, None]
-    p = spec.axis(1)[None, :]
-    z = np.sqrt(2.0 / th) * (q - 1j * p)
-    r2 = q * q + p * p
-    gauss = np.exp(-r2 / th)
-    arg = 2.0 * r2 / th
-    table = np.empty((trunc, trunc, spec.M, spec.M), dtype=complex)
-    for m in range(trunc):
-        for n in range(m, trunc):
-            amp = 2.0 * (-1.0) ** m * np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
-            val = amp * z ** (n - m) * eval_genlaguerre(m, n - m, arg) * gauss
-            if not np.all(np.isfinite(val.view(float))):
-                raise TruncationError(f"b_{m}{n} overflowed on the grid")
-            table[m, n] = val
-            if n > m:
-                table[n, m] = np.conj(val)
-    return BasisCache(spec, trunc, table)
+    count = 2 * trunc - 1
+    if 2 * spec.M * count + count ** 3 // 3 > _MAX_GRID_ENTRIES:
+        raise ResourceError(f"truncation {trunc} exceeds the memory gate")
+    scale = np.sqrt(2.0 / spec.theta)
+    s = scale * np.stack([spec.axis(0), spec.axis(1)])
+    psi = np.zeros((count, 2, spec.M))  # three-term recurrence; psi[-1] is zero at k = 1
+    psi[0] = np.pi ** -0.25 * np.exp(-0.5 * s * s)
+    for k in range(1, count):
+        psi[k] = np.sqrt(2.0 / k) * s * psi[k - 1] - np.sqrt((k - 1) / k) * psi[k - 2]
+    table = np.ascontiguousarray(psi.transpose(1, 2, 0))
+    err = max(float(np.abs(h * scale * p.T @ p - np.eye(count)).max())
+              for h, p in zip(spec.h, table))
+    if err > _GRAM_TOL:
+        raise TruncationError(f"grid does not resolve truncation {trunc}: "
+                              f"Hermite Gram error {err:.1e}")
+    blocks = [np.full((1, 1), 2.0 * np.sqrt(np.pi), dtype=complex)]
+    for big_n in range(1, count):  # the two-term step of the module docstring
+        root = np.sqrt(np.arange(big_n + 1))  # sqrt(k); reversed, sqrt(N - k)
+        # a_q^+ and a_p^+ on the columns |j, N-1-j> of B_{N-1}
+        up_q = root[:, None] * np.pad(blocks[-1], ((1, 0), (0, 0)))
+        up_p = root[::-1, None] * np.pad(blocks[-1], ((0, 1), (0, 0)))
+        block = (root * np.pad(up_q + 1j * up_p, ((0, 0), (1, 0)))
+                 + root[::-1] * np.pad(up_q - 1j * up_p, ((0, 0), (0, 1))))
+        blocks.append(block / (np.sqrt(2.0) * big_n))
+    return BasisCache(spec, trunc, table, blocks)
 
 
-def transform(obj: GridFunction | MatrixSymbol, cache: BasisCache,
-              direction: str | None = None) -> MatrixSymbol | GridFunction:
+def transform(obj: GridFunction | MatrixSymbol, cache: BasisCache
+              ) -> MatrixSymbol | GridFunction:
     """Coefficients from samples (forward) or samples from coefficients.
 
     forward:  f_mn = (2 pi theta)^{-1} integral f b_nm
     backward: f = sum f_mn b_mn
-    The direction is inferred from the input type; pass it only to assert.
+    The direction follows from the input type.  Coefficients are padded to
+    the 2 trunc - 1 Hermite degrees so that degree N uses all of B_N.
     """
-    inferred = "forward" if isinstance(obj, GridFunction) else "backward"
-    if direction is not None and direction != inferred:
-        raise SpecMismatch(f"direction {direction!r} does not fit a {type(obj).__name__}")
-    if inferred == "forward":
+    psi_q, psi_p = cache.table
+    th, t, size = cache.spec.theta, cache.trunc, len(cache.blocks)
+    if isinstance(obj, GridFunction):
         if obj.spec != cache.spec:
             raise SpecMismatch("grid function and cache disagree on the grid")
-        th = cache.spec.theta
-        weight = cache.spec.cell / (2.0 * np.pi * th)
-        # f_mn pairs against b_nm: swap the first two table axes
-        coeffs = weight * np.einsum("nmqp,qp->mn", cache.table, obj.samples,
-                                    optimize=True)
-        return MatrixSymbol(cache.trunc, th, coeffs)
-    if obj.trunc != cache.trunc or obj.theta != cache.spec.theta:
+        h = psi_q.T @ obj.samples @ psi_p  # H[k, l] = sum f psi_k(q) psi_l(p)
+        full = np.zeros((size, size), dtype=complex)
+        for big_n, block in enumerate(cache.blocks):
+            k = np.arange(big_n + 1)
+            full[big_n - k, k] = block.T @ h[k, big_n - k]  # f_{N-m, m} pairs with b_{m, N-m}
+        return MatrixSymbol(t, th, full[:t, :t] * cache.spec.cell / (2.0 * np.pi * th))
+    if obj.trunc != t or obj.theta != th:
         raise SpecMismatch("symbol and cache disagree on truncation or theta")
-    samples = np.einsum("mn,mnqp->qp", obj.coeffs, cache.table, optimize=True)
-    return GridFunction(cache.spec, samples)
+    coeffs = np.pad(obj.coeffs, (0, size - t))
+    herm = np.zeros((size, size), dtype=complex)
+    for big_n, block in enumerate(cache.blocks):
+        k = np.arange(big_n + 1)
+        herm[k, big_n - k] = block @ coeffs[k, big_n - k]
+    return GridFunction(cache.spec, psi_q @ herm @ psi_p.T)
 
 
 def matrix_product_oracle(f: MatrixSymbol, g: MatrixSymbol) -> MatrixSymbol:

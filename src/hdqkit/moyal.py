@@ -31,6 +31,7 @@ from .errors import QuadratureError, ResourceError, SpecMismatch
 Side = Literal["left", "right"]
 
 _MAX_GRID_ENTRIES = 1 << 26  # memory gate for n = 2 grids
+_PAIR_CHUNK = 64  # products per _fast_pairs_2d call, bounding its (pairs, M, M) blocks
 
 # split_pairs probe schedule: widths 8, 32, 128, ... while the width is below
 # 1/16 of the M^2 x M^2 pair matrix's side, then a dense SVD.  At M = 32 a
@@ -158,9 +159,7 @@ def to_modes(f: GridFunction) -> np.ndarray:
     m = f.spec.M
     alt = f.spec.alternating()
     for ax in range(out.ndim):
-        shape = [1] * out.ndim
-        shape[ax] = m
-        out = np.fft.fft(out, axis=ax) * alt.reshape(shape) / m
+        out = np.fft.fft(out, axis=ax) * alt.reshape((-1,) + (1,) * (out.ndim - 1 - ax)) / m
     return out
 
 
@@ -169,9 +168,7 @@ def from_modes(spec: GridSpec, coeffs: np.ndarray) -> GridFunction:
     m = spec.M
     alt = spec.alternating()
     for ax in range(out.ndim):
-        shape = [1] * out.ndim
-        shape[ax] = m
-        out = np.fft.ifft(out * alt.reshape(shape), axis=ax) * m
+        out = np.fft.ifft(out * alt.reshape((-1,) + (1,) * (out.ndim - 1 - ax)), axis=ax) * m
     return GridFunction(spec, out)
 
 
@@ -298,8 +295,8 @@ def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
 
 
 def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction],
-                    pairs: Sequence[tuple[int, int]] | None = None,
-                    chunk: int = 64) -> list[GridFunction]:
+                    pairs: Sequence[tuple[int, int]] | None = None
+                    ) -> list[GridFunction]:
     """Batched n=1 star products sharing the per-mode transforms."""
     if not fs or not gs:
         return []
@@ -316,8 +313,8 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction],
     fhats = np.stack([to_modes(fn) for fn in fs])
     ghats = np.stack([to_modes(gn) for gn in gs])
     results: list[GridFunction] = []
-    for lo in range(0, len(pairs), chunk):
-        sel = pairs[lo:lo + chunk]
+    for lo in range(0, len(pairs), _PAIR_CHUNK):
+        sel = pairs[lo:lo + _PAIR_CHUNK]
         block = _fast_pairs_2d(fhats, ghats, spec, sel)
         results.extend(GridFunction(spec, block[i]) for i in range(len(sel)))
     return results
@@ -446,9 +443,8 @@ def translation_multiplier(x0: Sequence[float], f: GridFunction,
     for ax in range(2 * spec.n):
         if shift[ax] == 0.0:
             continue
-        shape = [1] * (2 * spec.n)
-        shape[ax] = spec.M
-        phase = np.exp(-1j * spec.modes(ax) * shift[ax]).reshape(shape)
+        phase = np.exp(-1j * spec.modes(ax) * shift[ax]).reshape(
+            (-1,) + (1,) * (2 * spec.n - 1 - ax))
         out = np.fft.ifft(np.fft.fft(out, axis=ax) * phase, axis=ax)
     n = spec.n
     grids = np.meshgrid(*[spec.axis(i) for i in range(2 * n)], indexing="ij")

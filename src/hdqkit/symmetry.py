@@ -83,9 +83,7 @@ def window(spec: GridSpec) -> np.ndarray:
     out = np.ones(spec.shape)
     for ax in range(2 * spec.n):
         t = spec.axis(ax) / spec.L[ax]
-        shape = [1] * (2 * spec.n)
-        shape[ax] = spec.M
-        out = out * _flat_top(t, _FLAT, _EDGE).reshape(shape)
+        out = out * _flat_top(t, _FLAT, _EDGE).reshape((-1,) + (1,) * (2 * spec.n - 1 - ax))
     return out
 
 
@@ -93,9 +91,7 @@ def interior_mask(spec: GridSpec, frac: float = _MASK) -> np.ndarray:
     out = np.ones(spec.shape, dtype=bool)
     for ax in range(2 * spec.n):
         t = np.abs(spec.axis(ax)) <= frac * spec.L[ax]
-        shape = [1] * (2 * spec.n)
-        shape[ax] = spec.M
-        out = out & t.reshape(shape)
+        out = out & t.reshape((-1,) + (1,) * (2 * spec.n - 1 - ax))
     return out
 
 
@@ -103,10 +99,8 @@ def coordinate_function(spec: GridSpec, j: int, windowed: bool = True) -> GridFu
     """The coordinate x_j on the grid, windowed by default for product use."""
     if not 0 <= j < 2 * spec.n:
         raise SpecMismatch(f"coordinate index {j} out of range for n={spec.n}")
-    vals = spec.axis(j)
-    shape = [1] * (2 * spec.n)
-    shape[j] = spec.M
-    samples = np.ascontiguousarray(np.broadcast_to(vals.reshape(shape), spec.shape), dtype=complex)
+    vals = spec.axis(j).reshape((-1,) + (1,) * (2 * spec.n - 1 - j))
+    samples = np.ascontiguousarray(np.broadcast_to(vals, spec.shape), dtype=complex)
     if windowed:
         samples = samples * window(spec)
     return GridFunction(spec, samples)
@@ -121,9 +115,7 @@ def spectral_derivative(f: GridFunction, orders: Sequence[int]) -> GridFunction:
     for ax, k in enumerate(orders):
         if k == 0:
             continue
-        shape = [1] * (2 * spec.n)
-        shape[ax] = spec.M
-        coeffs = coeffs * (1j * spec.modes(ax)).reshape(shape) ** k
+        coeffs = coeffs * (1j * spec.modes(ax)).reshape((-1,) + (1,) * (2 * spec.n - 1 - ax)) ** k
     return from_modes(spec, coeffs)
 
 
@@ -238,9 +230,7 @@ def schwartz_seminorm(f: GridFunction, alpha: Sequence[int], beta: Sequence[int]
     for ax, a in enumerate(alpha):
         if a == 0:
             continue
-        shape = [1] * (2 * spec.n)
-        shape[ax] = spec.M
-        out = out * spec.axis(ax).reshape(shape) ** a
+        out = out * spec.axis(ax).reshape((-1,) + (1,) * (2 * spec.n - 1 - ax)) ** a
     return GridFunction(spec, out).norm
 
 

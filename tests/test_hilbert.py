@@ -7,6 +7,8 @@ no code path with the vectorized library routines they check.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -459,6 +461,20 @@ def test_tensor_square_of_full_matrix(m2):
     alg = hilbert.combine(m2, m2, mode="tensor")
     assert alg.dim == 16
     assert hilbert.validate_axioms(alg)["pass"]
+
+
+def test_tensor_product_gates_structure_size():
+    # (21 * 21)^3 ~ 8.6e7 entries exceed the gate, checked before the einsum
+    zero = np.zeros((21, 21, 21), dtype=complex)
+    alg = hilbert.FiniteHilbertAlgebra(zero, zero[0], zero[0], name="zero")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            hilbert.combine(alg, alg, mode="tensor")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tensor_gram_factorizes(m2, c3, rng):

@@ -1,11 +1,15 @@
 """Matrix basis: synthesis, transforms, products, GBV weights, exponentials."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import eval_genlaguerre, gammaln
 
-from hdqkit.errors import NotSquareIntegrable, SpecMismatch, TruncationError
+from hdqkit.errors import NotSquareIntegrable, ResourceError, SpecMismatch, TruncationError
 from hdqkit.matrix_basis import (
-    BasisCache,
     MatrixSymbol,
     basis_unit,
     gbv_norm,
@@ -55,6 +59,29 @@ def longhand_b(spec, m, n):
     return table[(m, n)]
 
 
+def laguerre_b(spec, m, n):
+    """Oracle: the Laguerre closed form of the module docstring."""
+    if m > n:
+        return np.conj(laguerre_b(spec, n, m))
+    th = spec.theta
+    q = spec.axis(0)[:, None]
+    p = spec.axis(1)[None, :]
+    r2 = q * q + p * p
+    amp = 2.0 * (-1.0) ** m * np.exp(0.5 * (gammaln(m + 1) - gammaln(n + 1)))
+    return (amp * (np.sqrt(2.0 / th) * (q - 1j * p)) ** (n - m)
+            * eval_genlaguerre(m, n - m, 2.0 * r2 / th) * np.exp(-r2 / th))
+
+
+def basis_function(cache, m, n):
+    """b_mn sampled on the cache's grid."""
+    return transform(basis_unit(cache.trunc, cache.spec.theta, m, n), cache)
+
+
+def wide_spec(half_width):
+    """M = 256 grid with L = half_width sqrt(theta)."""
+    return GridSpec(n=1, M=256, L=half_width * np.sqrt(THETA), theta=THETA)
+
+
 def random_symbol(trunc, rng):
     c = rng.normal(size=(trunc, trunc)) + 1j * rng.normal(size=(trunc, trunc))
     return MatrixSymbol(trunc, THETA, c)
@@ -66,51 +93,79 @@ def random_symbol(trunc, rng):
 
 def test_synthesis_matches_longhand(spec, cache):
     for m, n in [(0, 0), (0, 1), (1, 0), (1, 1), (0, 2), (2, 2)]:
-        got = cache.function(m, n).samples
+        got = basis_function(cache, m, n).samples
         want = longhand_b(spec, m, n)
         assert np.max(np.abs(got - want)) < 1e-12
 
 
+def test_synthesis_matches_laguerre_closed_form():
+    spec = wide_spec(8.0)
+    cache = synthesize_basis(spec, 16)
+    for m in range(16):
+        for n in range(16):
+            got = basis_function(cache, m, n).samples
+            assert np.max(np.abs(got - laguerre_b(spec, m, n))) <= 1e-13
+
+
 def test_peak_value_of_ground_state(spec, cache):
     mid = spec.M // 2
-    assert cache.function(0, 0).samples[mid, mid] == pytest.approx(2.0, abs=1e-12)
+    assert basis_function(cache, 0, 0).samples[mid, mid] == pytest.approx(2.0, abs=1e-12)
 
 
 def test_conjugation_swaps_indices(cache):
     for m in range(cache.trunc):
         for n in range(cache.trunc):
-            a = np.conj(cache.function(m, n).samples)
-            b = cache.function(n, m).samples
+            a = np.conj(basis_function(cache, m, n).samples)
+            b = basis_function(cache, n, m).samples
             assert np.max(np.abs(a - b)) < 1e-12
 
 
 def test_basis_orthogonality(spec, cache):
-    flat = cache.table.reshape(cache.trunc ** 2, -1)
+    t = cache.trunc
+    flat = np.array([basis_function(cache, m, n).samples.ravel()
+                     for m in range(t) for n in range(t)])
     gram = spec.cell * np.conj(flat) @ flat.T
-    want = TWO_PI_THETA * np.eye(cache.trunc ** 2)
-    assert np.max(np.abs(gram - want)) < 1e-6
+    want = TWO_PI_THETA * np.eye(t * t)
+    assert np.max(np.abs(gram - want)) < 1e-12
 
 
 def test_basis_integrals(cache):
     for m in range(cache.trunc):
         for n in range(cache.trunc):
-            val = integrate(cache.function(m, n))
+            val = integrate(basis_function(cache, m, n))
             want = TWO_PI_THETA if m == n else 0.0
             assert abs(val - want) < 1e-8
 
 
 def test_odd_basis_is_parity_odd(cache):
-    b01 = cache.function(0, 1)
+    b01 = basis_function(cache, 0, 1)
     assert np.max(np.abs(b01.parity().samples + b01.samples)) < 1e-12
 
 
 def test_synthesis_input_checks(spec):
+    # trunc 16 reaches the edge of the default box and trunc 64 that of
+    # L = 8 sqrt(theta): both grids fail to resolve the basis
     with pytest.raises(TruncationError):
-        synthesize_basis(spec, 17)
+        synthesize_basis(spec, 16)
+    with pytest.raises(TruncationError):
+        synthesize_basis(wide_spec(8.0), 64)
     with pytest.raises(SpecMismatch):
         synthesize_basis(GridSpec(n=2, M=16, L=5.0, theta=THETA), 4)
     with pytest.raises(SpecMismatch):
         synthesize_basis(spec, 0)
+
+
+def test_synthesis_gates_memory():
+    spec = wide_spec(8.0)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            synthesize_basis(spec, 3000)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # raised before the 25 MB Hermite table is sampled
+    assert peak < 1 << 20
 
 
 # ---------------------------------------------------------------------------
@@ -118,10 +173,10 @@ def test_synthesis_input_checks(spec):
 # ---------------------------------------------------------------------------
 
 def test_forward_transform_picks_out_coefficients(cache):
-    got = transform(cache.function(0, 1), cache)
+    got = transform(basis_function(cache, 0, 1), cache)
     want = np.zeros((cache.trunc, cache.trunc))
     want[0, 1] = 1.0
-    assert np.max(np.abs(got.coeffs - want)) < 1e-6
+    assert np.max(np.abs(got.coeffs - want)) < 3e-14
 
 
 def test_forward_transform_of_zero(spec, cache):
@@ -132,28 +187,22 @@ def test_forward_transform_of_zero(spec, cache):
 def test_round_trip_on_basis_span(cache, rng):
     sym = random_symbol(cache.trunc, rng)
     back = transform(transform(sym, cache), cache)
-    assert np.max(np.abs(back.coeffs - sym.coeffs)) < 1e-6 * np.max(np.abs(sym.coeffs))
+    assert np.max(np.abs(back.coeffs - sym.coeffs)) < 1e-13 * np.max(np.abs(sym.coeffs))
 
 
 def test_parseval_on_basis_span(cache, rng):
     sym = random_symbol(cache.trunc, rng)
     f = transform(sym, cache)
     assert f.norm ** 2 == pytest.approx(
-        TWO_PI_THETA * np.sum(np.abs(sym.coeffs) ** 2), rel=1e-6)
-    assert f.norm == pytest.approx(sym.norm, rel=1e-6)
+        TWO_PI_THETA * np.sum(np.abs(sym.coeffs) ** 2), rel=1e-13)
+    assert f.norm == pytest.approx(sym.norm, rel=1e-13)
 
 
 def test_hermiticity_of_transform(cache, rng):
     sym = random_symbol(cache.trunc, rng)
     f = transform(sym, cache)
     got = transform(f.conj(), cache).coeffs
-    assert np.max(np.abs(got - sym.coeffs.conj().T)) < 1e-10
-
-
-def test_transform_direction_guard(cache, rng):
-    sym = random_symbol(cache.trunc, rng)
-    with pytest.raises(SpecMismatch):
-        transform(sym, cache, direction="forward")
+    assert np.max(np.abs(got - sym.coeffs.conj().T)) < 3e-13
 
 
 def test_star_matrix_functoriality(cache, rng):
@@ -164,7 +213,35 @@ def test_star_matrix_functoriality(cache, rng):
     g = transform(b, cache)
     got = transform(moyal_fast(f, g), cache).coeffs
     want = matrix_product_oracle(a, b).coeffs
-    assert np.max(np.abs(got - want)) < 1e-3 * np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) < 5e-14 * np.max(np.abs(want))
+
+
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(trunc=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_star_matrix_functoriality_property(trunc, seed):
+    cache = synthesize_basis(default_spec(theta=THETA, M=128), trunc)
+    rng = np.random.default_rng(seed)
+    a = random_symbol(trunc, rng)
+    b = random_symbol(trunc, rng)
+    got = transform(moyal_fast(transform(a, cache), transform(b, cache)), cache).coeffs
+    want = matrix_product_oracle(a, b).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("trunc, half_width", [(32, 10.0), (64, 13.0)])
+def test_large_truncation_laws(trunc, half_width, rng):
+    """Round trip, Parseval and functoriality where the grid resolves trunc."""
+    cache = synthesize_basis(wide_spec(half_width), trunc)
+    a = random_symbol(trunc, rng)
+    b = random_symbol(trunc, rng)
+    f = transform(a, cache)
+    g = transform(b, cache)
+    scale = np.max(np.abs(a.coeffs))
+    assert np.max(np.abs(transform(f, cache).coeffs - a.coeffs)) <= 1e-13 * scale
+    assert abs(f.norm - a.norm) <= 1e-13 * a.norm
+    got = transform(moyal_fast(f, g), cache).coeffs
+    want = matrix_product_oracle(a, b).coeffs
+    assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
 # ---------------------------------------------------------------------------
@@ -247,11 +324,11 @@ def test_ladder_against_grid_star(cache):
     z1_sym = MatrixSymbol(trunc, THETA, ladder_matrix(1, trunc))
     z1_grid = transform(z1_sym, cache)
     for (m, n) in [(0, 0), (1, 1), (0, 2), (2, 1)]:
-        bmn = cache.function(m, n)
+        bmn = basis_function(cache, m, n)
         grid_norm = moyal_fast(z1_grid, bmn).norm
         coeff = ladder_matrix(1, trunc) @ basis_unit(trunc, THETA, m, n).coeffs
         ladder_norm = np.sqrt(TWO_PI_THETA) * np.linalg.norm(coeff)
-        assert abs(grid_norm - ladder_norm) <= 1e-3 * max(ladder_norm, 1.0)
+        assert abs(grid_norm - ladder_norm) <= 5e-14 * max(ladder_norm, 1.0)
 
 
 # ---------------------------------------------------------------------------
