@@ -8,9 +8,14 @@ antilinear involution acts as v -> C · conj(v) for a unitary C.
 Multiplier pairs, commutants and the center are nullspaces, all taken by one
 kernel, `_null_vectors`: the eigenvectors of a closed-form Hermitian normal
 matrix AᴴA (A itself is never built) with eigenvalue at most tol times the
-top one. Normal equations square the condition number of the basis; see
-`solve_multipliers` for the supported range. A ResourceError is raised before
-a normal matrix or tensor product over `_MAX_NORMAL_ENTRIES` entries is built.
+top one. The kernel computes only those eigenvectors: it solves each exact
+diagonal block of the normal matrix's nonzero pattern on its own (the
+doubled-space generators diag(L, C⁻¹LC) split a commutant into four blocks),
+estimates the top eigenvalue by Lanczos, and asks LAPACK for the eigenvectors
+below the cutoff only. Normal equations square the condition number of the
+basis; see `solve_multipliers` for the supported range. A ResourceError is
+raised before a normal matrix or tensor product over `_MAX_NORMAL_ENTRIES`
+entries is built.
 
 Conventions
 -----------
@@ -150,26 +155,26 @@ class OperatorSubspace:
         return self.basis.shape[0]
 
     def project(self, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x, dtype=complex)
-        for b in self.basis:
-            out += np.vdot(b, x) * b
-        return out
+        """Orthogonal projection of one D x D matrix or a (..., D, D) stack."""
+        x = np.asarray(x)
+        flat = self.basis.reshape(self.dim, self.ambient_dim ** 2)
+        coeffs = x.reshape(-1, flat.shape[1]) @ flat.conj().T
+        return (coeffs @ flat).reshape(x.shape)
+
+    def _distances(self, x: np.ndarray) -> np.ndarray:
+        """Relative Frobenius distance from each matrix of a (m, D, D) stack."""
+        norms = np.linalg.norm(x.reshape(len(x), -1), axis=1)
+        resid = np.linalg.norm((x - self.project(x)).reshape(len(x), -1), axis=1)
+        return np.divide(resid, norms, out=np.zeros_like(norms), where=norms > 0.0)
 
     def distance(self, x: np.ndarray) -> float:
         """Relative Frobenius distance from x to the subspace."""
-        nx = np.linalg.norm(x)
-        if nx == 0.0:
-            return 0.0
-        return float(np.linalg.norm(x - self.project(x)) / nx)
+        return float(self._distances(np.asarray(x)[None])[0])
 
     def equals(self, other: "OperatorSubspace") -> float:
         """Max of mutual projection residuals; 0 means identical spans."""
-        r = 0.0
-        for b in self.basis:
-            r = max(r, other.distance(b))
-        for b in other.basis:
-            r = max(r, self.distance(b))
-        return r
+        return float(max(other._distances(self.basis).max(initial=0.0),
+                         self._distances(other.basis).max(initial=0.0)))
 
     @staticmethod
     def from_matrices(mats: Iterable[np.ndarray], ambient_dim: int,
@@ -264,16 +269,98 @@ def _gate(entries: int, what: str) -> None:
         raise ResourceError(f"{what} needs {entries} entries, above the gate {_MAX_NORMAL_ENTRIES}")
 
 
+def _components(normal: np.ndarray) -> list[np.ndarray]:
+    """Index sets of the connected components of the nonzero pattern.
+
+    A breadth-first sweep per component over the boolean pattern, O(n²) in
+    all. Entries are split only where they are exactly zero, so the
+    components are exact diagonal blocks of a symmetric permutation.
+    """
+    adj = normal != 0
+    n = adj.shape[0]
+    done = np.zeros(n, dtype=bool)
+    comps = []
+    for start in range(n):
+        if done[start]:
+            continue
+        seen = np.zeros(n, dtype=bool)
+        seen[start] = True
+        frontier = seen
+        while frontier.any():
+            frontier = adj[frontier].any(axis=0) & ~seen
+            seen |= frontier
+        done |= seen
+        comps.append(np.flatnonzero(seen))
+    return comps
+
+
+def _top_eigenvalue(normal: np.ndarray) -> float:
+    """Largest eigenvalue of a Hermitian PSD matrix by Lanczos.
+
+    The start vector comes from a fixed seed, so the estimate is
+    deterministic. Each new Krylov vector is orthogonalised twice against all
+    earlier ones, so the basis stays orthonormal when the Krylov space runs
+    out after a few distinct eigenvalues. The run stops once the residual
+    ‖N y − θ y‖ = β |s_k| of the top Ritz pair (θ, y) is at most 1e-12 θ,
+    which puts an eigenvalue within 1e-12 θ of θ (λ_max, unless the start
+    vector is orthogonal to its eigenspace), or at step n, where it is exact.
+    """
+    n = normal.shape[0]
+    rng = np.random.default_rng(0)
+    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    v /= np.linalg.norm(v)
+    basis, alpha, beta = [], [], []
+    for k in range(n):
+        basis.append(v)
+        w = normal @ v
+        alpha.append(np.vdot(v, w).real)
+        q = np.array(basis)
+        for _ in range(2):
+            w -= (q.conj() @ w) @ q
+        b = float(np.linalg.norm(w))
+        theta, s = sla.eigh_tridiagonal(np.array(alpha), np.array(beta),
+                                        select="i", select_range=(k, k))
+        if b * abs(s[-1, 0]) <= 1e-12 * abs(theta[0]) or k == n - 1:
+            return float(theta[0])
+        beta.append(b)
+        v = w / b
+    return 0.0  # n = 0
+
+
 def _null_vectors(normal: np.ndarray, tol: float) -> np.ndarray:
     """Orthonormal rows spanning the numerical nullspace of a PSD matrix.
 
-    Eigenvalues are squared residuals, but the eigh noise floor on true zeros
-    scales linearly with the top eigenvalue, so the cutoff does too.
+    Keeps the eigenvectors with eigenvalue at most max(λ_max, 1) max(tol,
+    64ε): eigenvalues are squared residuals, but the noise floor on true
+    zeros scales linearly with the top eigenvalue, so the cutoff does too.
+    Only the nullspace is computed. The matrix is split into the exact
+    diagonal blocks of its nonzero pattern (`_components`), λ_max is the
+    largest Lanczos estimate over the blocks (`_top_eigenvalue`), and each
+    block gets a bisection-and-inverse-iteration eigensolve (LAPACK ?heevx)
+    restricted to eigenvalues up to the cutoff. ?heevx can leave the vectors
+    of a large degenerate null cluster 1e-8 from orthonormal (one of the four
+    625² blocks of the `mat5` structure commutant), so each block's vectors
+    then take one step of block inverse iteration: a Cholesky solve with
+    N + cut·I, then a QR. The solve scales the component at eigenvalue μ by
+    1/(μ + cut), so a stray component across a spectral gap g shrinks by
+    about cut/g relative to the null ones. Rows are zero outside the block
+    they come from.
     """
-    eigval, eigvec = np.linalg.eigh(normal)
-    lam_max = max(float(eigval[-1]), 1.0)
-    keep = eigval <= lam_max * max(tol, 64.0 * np.finfo(float).eps)
-    return eigvec[:, keep].T
+    n = normal.shape[0]
+    comps = _components(normal)
+    blocks = [normal[np.ix_(idx, idx)] for idx in comps]
+    lam_max = max(max((_top_eigenvalue(blk) for blk in blocks), default=0.0), 1.0)
+    cut = lam_max * max(tol, 64.0 * np.finfo(float).eps)
+    rows = [np.zeros((0, n), dtype=complex)]
+    for idx, blk in zip(comps, blocks):
+        vecs = sla.eigh(blk, subset_by_value=(-np.inf, cut), driver="evx")[1]
+        if vecs.shape[1]:
+            shifted = sla.cho_factor(blk + cut * np.eye(len(idx)))
+            vecs = np.linalg.qr(sla.cho_solve(shifted, vecs))[0]
+        out = np.zeros((vecs.shape[1], n), dtype=complex)
+        out[:, idx] = vecs.T
+        rows.append(out)
+    return np.concatenate(rows)
 
 
 def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
@@ -339,6 +426,11 @@ def commutant(generators: Iterable[np.ndarray], ambient_dim: int,
     coincide with the conjugate transpose. Over the ᴴ-closed set G the
     normal matrix of gX = Xg is kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g,
     conj(g)) with S = sum_g gᴴg; tol and the gate are as in solve_multipliers.
+    X[a, b] couples to X[a', b'] only through g[a, a'], g[b, b'], S[a, a']
+    and S[b', b], all zero across the blocks of block-diagonal generators, so
+    those split the solve exactly: for diag(L, C⁻¹LC) on the doubled space
+    the four quadrants of X are four independent d² x d² problems, and each
+    basis element returned lies in one quadrant.
     """
     dd = ambient_dim
     n = dd * dd
@@ -436,13 +528,11 @@ def verify_commutant_structure(alg: FiniteHilbertAlgebra, tol: float = 1e-10,
 
     # measure the absolute out-of-form component of each unit-norm commutant
     # element; a relative distance would blow up on noise-level blocks
-    block_residual = 0.0
-    for b in comm.basis:
-        s11, s12 = b[:d, :d], b[:d, d:]
-        s21, s22 = b[d:, :d], b[d:, d:]
-        for blk in (s11, s12 @ cinv, cmat @ s21, cmat @ s22 @ cinv):
-            off = np.linalg.norm(blk - rspan.project(blk))
-            block_residual = max(block_residual, off)
+    b = comm.basis
+    blocks = np.concatenate([b[:, :d, :d], b[:, :d, d:] @ cinv,
+                             cmat @ b[:, d:, :d], cmat @ b[:, d:, d:] @ cinv])
+    off = np.linalg.norm((blocks - rspan.project(blocks)).reshape(len(blocks), -1), axis=1)
+    block_residual = float(off.max(initial=0.0))
 
     expected = 4 * len(pairs)
     report = {

@@ -15,7 +15,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import null_space
 
-from hdqkit import hilbert
+from hdqkit import clifford, hilbert
 from hdqkit.errors import (HdqError, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
                            ResourceError)
 
@@ -336,6 +336,118 @@ def test_pair_product_and_adjoint_stay_multipliers(s3):
 
 
 # ---------------------------------------------------------------------------
+# the nullspace kernel
+# ---------------------------------------------------------------------------
+
+def eigh_null_projector(normal: np.ndarray, count: int) -> np.ndarray:
+    """Projector onto the eigenvectors of the `count` smallest eigenvalues."""
+    vecs = np.linalg.eigh(normal)[1][:, :count]
+    return vecs @ vecs.conj().T
+
+
+@st.composite
+def hidden_block_normals(draw):
+    """N = YᴴY with Y block diagonal, its indices permuted, and optionally one
+    entry of Y that couples a row of one block to a column of another.
+
+    Block b has size n_b and null dimension k_b: its rows are n_b - k_b
+    orthonormal rows scaled by singular values in [1, 2]. A coupling entry of
+    modulus at most 1/2 keeps every singular value of Y above 1/2, so the null
+    dimension stays sum k_b and the nonzero eigenvalues stay above 1/4; one
+    of modulus 1e-9 still moves the nullspace by about 1e-9.
+    Returns (N, null dimension, number of components of N's pattern).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shapes = draw(st.lists(st.integers(1, 8).flatmap(
+        lambda n: st.tuples(st.just(n), st.integers(0, n))), min_size=1, max_size=4))
+    n = sum(size for size, _ in shapes)
+    rows, offset, comps = [], 0, 0
+    for size, null in shapes:
+        rank = size - null
+        q = haar_unitary(rng, size)[:rank]
+        block = np.zeros((rank, n), dtype=complex)
+        block[:, offset:offset + size] = rng.uniform(1.0, 2.0, size=(rank, 1)) * q
+        rows.append(block)
+        offset += size
+        comps += 1 if rank else size  # an all-zero block is `size` singletons
+    y = np.concatenate(rows)
+    with_rows = [b for b, (size, null) in enumerate(shapes) if size > null]
+    if draw(st.booleans()) and len(shapes) > 1 and with_rows:
+        src = draw(st.sampled_from(with_rows))
+        dst = draw(st.sampled_from([b for b in range(len(shapes)) if b != src]))
+        starts = np.cumsum([0] + [size for size, _ in shapes])
+        row = sum(size - null for size, null in shapes[:src])
+        col = starts[dst] + draw(st.integers(0, shapes[dst][0] - 1))
+        # a tiny coupling still merges the blocks: the split is on exact zeros
+        y[row, col] = draw(st.sampled_from([0.5, 1e-6, 1e-9])) * np.exp(2j * np.pi * rng.uniform())
+        comps -= 1  # the column's component (a block or a singleton) joins src's
+    perm = rng.permutation(n)
+    normal = (y.conj().T @ y)[np.ix_(perm, perm)]
+    return normal, sum(null for _, null in shapes), comps
+
+
+@given(hidden_block_normals())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_null_vectors_match_eigh_on_hidden_blocks(case):
+    normal, null_dim, comps = case
+    assert len(hilbert._components(normal)) == comps
+    rows = hilbert._null_vectors(normal, 1e-10)
+    assert rows.shape == (null_dim, normal.shape[0])
+    assert np.abs(rows @ rows.conj().T - np.eye(null_dim)).max(initial=0.0) <= 1e-12
+    got = rows.T @ rows.conj()  # projector sum_r |r><r|
+    assert np.abs(got - eigh_null_projector(normal, null_dim)).max() <= 1e-12
+
+
+def test_null_vectors_edge_cases():
+    one = hilbert._null_vectors(np.zeros((1, 1)), 1e-10)
+    assert one.shape == (1, 1) and abs(abs(one[0, 0]) - 1.0) <= 1e-15
+    full = hilbert._null_vectors(np.zeros((5, 5), dtype=complex), 1e-10)
+    assert full.shape == (5, 5)
+    assert np.abs(full @ full.conj().T - np.eye(5)).max() <= 1e-15
+    assert hilbert._null_vectors(np.eye(7), 1e-10).shape == (0, 7)
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e5])
+@pytest.mark.parametrize("name", ["s3", "mat2", "c3"])
+def test_top_eigenvalue_on_solver_normals(name, cond, monkeypatch):
+    # at cond(q) <= 1e2 these normals have three eigenvalue clusters, so the
+    # Krylov space runs out after about three Lanczos steps; measured worst
+    # relative error 2.4e-13 (s3 at 1e2)
+    normals = []
+    kernel = hilbert._null_vectors
+    monkeypatch.setattr(hilbert, "_null_vectors",
+                        lambda normal, tol: normals.append(normal) or kernel(normal, tol))
+    base = named_algebra(name)
+    d = base.dim
+    o, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(d, d)))
+    hilbert.solve_multipliers(hilbert.change_basis(
+        base, o @ np.diag(np.logspace(0.0, np.log10(cond), d)) @ o.T))
+    (normal,) = normals
+    want = np.linalg.eigvalsh(normal)[-1]
+    assert abs(hilbert._top_eigenvalue(normal) - want) <= 1e-10 * want
+
+
+def test_operator_subspace_matches_loop_oracles(rng):
+    def project(sub, x):
+        return sum((np.vdot(b, x) * b for b in sub.basis), np.zeros_like(x, dtype=complex))
+
+    def distance(sub, x):
+        return np.linalg.norm(x - project(sub, x)) / np.linalg.norm(x)
+
+    mats = rng.normal(size=(2, 6, 3, 3)) + 1j * rng.normal(size=(2, 6, 3, 3))
+    a = hilbert.OperatorSubspace.from_matrices(mats[0, :4], 3)
+    b = hilbert.OperatorSubspace.from_matrices(np.concatenate([mats[0, :3], mats[1, :2]]), 3)
+    for x in mats[1]:
+        assert np.abs(a.project(x) - project(a, x)).max() <= 1e-14
+        assert abs(a.distance(x) - distance(a, x)) <= 1e-14
+    assert np.abs(a.project(mats[1]) - np.array([project(a, x) for x in mats[1]])).max() <= 1e-14
+    want = max(max(distance(b, x) for x in a.basis), max(distance(a, x) for x in b.basis))
+    assert abs(a.equals(b) - want) <= 1e-14
+    assert a.distance(np.zeros((3, 3))) == 0.0
+    assert a.equals(a) <= 1e-14
+
+
+# ---------------------------------------------------------------------------
 # commutants
 # ---------------------------------------------------------------------------
 
@@ -376,6 +488,21 @@ def test_commutant_idempotence_and_containment(rng):
     assert first.equals(third) <= 1e-10
 
 
+@pytest.mark.parametrize("seed", range(8))
+def test_commutant_of_rotated_matrix_amplification(seed):
+    # the commutant of U (M_4 (x) 1) U* is U (1 (x) M_4) U*: a 16-fold null
+    # cluster in a 256 x 256 normal matrix. Plain ?heevx vectors left this cluster
+    # 8.9e-7 from orthonormal at seed 4 and 9.5e-11 at seed 6.
+    u = haar_unitary(np.random.default_rng(seed), 16)
+    units = np.eye(16).reshape(16, 4, 4)
+    sub = hilbert.commutant(u @ np.kron(units, np.eye(4)) @ u.conj().T, 16)
+    want = hilbert.OperatorSubspace.from_matrices(u @ np.kron(np.eye(4), units) @ u.conj().T, 16)
+    flat = sub.basis.reshape(sub.dim, -1)
+    assert sub.dim == 16
+    assert np.abs(flat.conj() @ flat.T - np.eye(16)).max() <= 1e-13
+    assert sub.equals(want) <= 1e-13
+
+
 def test_commutant_basis_is_orthonormal(m2):
     lam = [hilbert.regular_representation(m2, np.eye(4)[i], "left") for i in range(4)]
     sub = hilbert.commutant(lam, 4)
@@ -402,6 +529,19 @@ def test_commutant_block_form(m2, z2, scalar_algebra):
         assert report["pass"], report
         assert report["commutant_dim"] == 4 * report["expected_dim"] // 4
         assert report["block_residual"] <= 1e-13
+
+
+@pytest.mark.parametrize("name", ["mat4", "cl4"])
+def test_structure_theorems_on_rotated_d16_algebras(name):
+    # solve -> bicommutant -> commutant block form at d = 16, in a Haar basis
+    base = named_algebra(name) if name != "cl4" else clifford.as_hilbert_algebra(2)
+    alg = hilbert.change_basis(base, haar_unitary(np.random.default_rng(1), 16))
+    pairs = hilbert.solve_multipliers(alg)
+    assert len(pairs) == 16
+    caract = hilbert.verify_caract(alg, pairs=pairs)
+    assert caract["pass"] and caract["bicommutant_dim"] == 16
+    struct = hilbert.verify_commutant_structure(alg, pairs=pairs)
+    assert struct["pass"] and struct["commutant_dim"] == 64
 
 
 def test_structure_theorems_on_combined_algebras(m2, c3):
