@@ -6,6 +6,17 @@ bitmask of the subset I, so a product of blades is a signed XOR and every
 structure constant is an exact integer.  The normalized trace picks the
 empty-blade coefficient, and <x, y> = tau(x* y) makes the blades an
 orthonormal basis.
+
+Products go through the Jordan-Wigner matrix model Cl(2m) = M_{2^m}(C):
+xi_{2k} = Z^{(x)k} X_k and xi_{2k+1} = Z^{(x)k} Y_k on m qubits, so every
+blade is a phase i^e times a Pauli string X^x Z^z, a monomial matrix with
+the entry (-1)^{|z & c|} at (c ^ x, c).  Coefficients go to the matrix by a
+scatter, one GEMM with the +-1 Walsh-Hadamard matrix and an XOR row gather;
+a product is one 2^m x 2^m GEMM, and the way back is the same gather and
+GEMM divided by 2^m.  On blades every sum has one nonzero term of +-1 or +-i
+and the only division is by a power of two, so blade products are bit-exact.
+The (4^m, 4^m) sign table serves only as the exact oracle behind the dense
+export and the associativity check.
 """
 
 from __future__ import annotations
@@ -18,12 +29,20 @@ import numpy as np
 
 from .errors import ResourceError, SpecMismatch
 from .hilbert import FiniteHilbertAlgebra, MultiplierPair, regular_representation, solve_multipliers
+from .moyal import _MAX_GRID_ENTRIES
 
 # Dense structure-constant exports: the (d, d, d) tensor at m = 5 is already
 # 17 GB, so only the first few ranks can be materialized.
 _EXPORT_MAX_M = 4
 _VERIFY_MAX_M = 4
 _DENSE_SOLVE_MAX_M = 2
+
+_PHASES = np.array([1, 1j, -1, -1j])  # i^e
+
+
+def _gate(entries: int, what: str) -> None:
+    if entries > _MAX_GRID_ENTRIES:
+        raise ResourceError(f"{what} needs {entries} entries, above the gate {_MAX_GRID_ENTRIES}")
 
 
 @lru_cache(maxsize=8)
@@ -34,6 +53,7 @@ def _sign_table(m: int) -> np.ndarray:
     as a uint8 parity so that no (d, d) temporary is wider than a byte.
     """
     n = 2 * m
+    _gate(1 << (2 * n), f"sign table of Cl({n})")
     idx = np.arange(1 << n, dtype=np.uint32)
     parity = np.zeros((idx.size, idx.size), dtype=np.uint8)
     for k in range(n):
@@ -48,6 +68,53 @@ def _star_signs(m: int) -> np.ndarray:
     """Involution signs (-1)^{|I|(|I|-1)/2} per blade."""
     sizes = np.bitwise_count(np.arange(1 << (2 * m), dtype=np.uint32)).astype(np.int64)
     return np.where((sizes * (sizes - 1) // 2) & 1, -1, 1).astype(np.int8)
+
+
+@lru_cache(maxsize=8)
+def _matrix_model(m: int) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Jordan-Wigner tables (phase, slot, hadamard, rows) of Cl(2m), q = 2^m.
+
+    Blade I is phase[I] X^x Z^z with slot[I] = x q + z.  Generator xi_a sits on
+    qubit k = a >> 1 as i^(a & 1) X^{e_k} Z^{z_a}, with Z on the qubits below
+    k and, for a Y, on k.  Since (X^x Z^z)(X^x' Z^z') =
+    (-1)^{|z & x'|} X^{x ^ x'} Z^{z ^ z'}, and in an ascending product no
+    generator has a Z where a later one has its X, x and z are the XORs of
+    the generators' masks and the phase is i to the number of Y generators.
+    hadamard is H[z, c] = (-1)^{|z & c|} and rows[x, c] = x ^ c, so the XOR
+    row gather maps D[x, c] to M[c ^ x, c] and back.
+    """
+    q = 1 << m
+    d = q * q
+    _gate(4 * d, f"matrix model of Cl({2 * m})")
+    masks = np.arange(d, dtype=np.int64)
+    x = np.zeros(d, dtype=np.int64)
+    z = np.zeros(d, dtype=np.int64)
+    # bitwise_count returns uint8: cast before any signed arithmetic
+    for k in range(m):
+        # X on qubit k from xi_2k and xi_2k+1; Z from xi_2k+1 and every later generator
+        x |= (((masks >> (2 * k)) ^ (masks >> (2 * k + 1))) & 1) << k
+        z |= (np.bitwise_count(masks >> (2 * k + 1)).astype(np.int64) & 1) << k
+    y_generators = np.bitwise_count(masks & int("10" * m, 2)).astype(np.int64)
+    c = np.arange(q, dtype=np.int64)
+    hadamard = 1.0 - 2.0 * (np.bitwise_count(c[:, None] & c[None, :]) & 1).astype(np.float64)
+    return _PHASES[y_generators % 4], x * q + z, hadamard, c[:, None] ^ c[None, :]
+
+
+def _to_matrix(x: CliffordElement) -> np.ndarray:
+    """The 2^m x 2^m Jordan-Wigner matrix of x."""
+    phase, slot, hadamard, rows = _matrix_model(x.m)
+    q = hadamard.shape[0]
+    b = np.empty(q * q, dtype=complex)
+    b[slot] = x.coeffs * phase
+    return np.take_along_axis(b.reshape(q, q) @ hadamard, rows, axis=0)
+
+
+def _from_matrix(m: int, mat: np.ndarray) -> np.ndarray:
+    """Blade coefficients of a 2^m x 2^m matrix; inverse of `_to_matrix`."""
+    phase, slot, hadamard, rows = _matrix_model(m)
+    q = hadamard.shape[0]
+    b = (np.take_along_axis(mat, rows, axis=0) @ hadamard).reshape(-1) / q
+    return b[slot] * phase.conj()
 
 
 def blade_product(mask_i: int, mask_j: int, m: int) -> tuple[int, int]:
@@ -93,6 +160,7 @@ class CliffordElement:
 
 def blade(m: int, mask: int = 0) -> CliffordElement:
     d = 1 << (2 * m)
+    _gate(d, f"blade of Cl({2 * m})")
     if not 0 <= mask < d:
         raise SpecMismatch(f"blade mask {mask} out of range for Cl({2 * m})")
     coeffs = np.zeros(d, dtype=complex)
@@ -105,17 +173,10 @@ def unit(m: int) -> CliffordElement:
 
 
 def clifford_product(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Bilinear extension of xi_I xi_J = sign(I, J) xi_{I xor J}."""
+    """Bilinear extension of xi_I xi_J = sign(I, J) xi_{I xor J}, as one matrix GEMM."""
     if x.m != y.m:
         raise SpecMismatch(f"rank mismatch: Cl({2 * x.m}) vs Cl({2 * y.m})")
-    d = x.coeffs.shape[0]
-    sgn = _sign_table(x.m)
-    jj = np.arange(d, dtype=np.int64)
-    out = np.zeros(d, dtype=complex)
-    for i in np.flatnonzero(np.abs(x.coeffs)):
-        # i ^ jj is a permutation, so no target collides within one row
-        out[i ^ jj] += x.coeffs[i] * sgn[i] * y.coeffs
-    return CliffordElement(x.m, out)
+    return CliffordElement(x.m, _from_matrix(x.m, _to_matrix(x) @ _to_matrix(y)))
 
 
 def involution_and_trace(x: CliffordElement) -> tuple[CliffordElement, complex]:

@@ -439,12 +439,15 @@ def commutant(generators: Iterable[np.ndarray], ambient_dim: int,
     gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
     flat = gens.reshape(-1, n)
     s = np.einsum("gka,gkb->ab", gens.conj(), gens)
-    eye = np.eye(dd)
     # (flat.T @ conj(flat))[(a, a'), (b, b')] = sum_g g[a, a'] conj(g[b, b'])
     normal = (flat.T @ flat.conj()).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(n, n)
     normal *= -2.0
-    normal += np.kron(s, eye)
-    normal += np.kron(eye, s.T)
+    # kron(S, I) + kron(I, Sᵀ) through writeable diagonal views of normal[a, b, a', b']
+    normal4 = normal.reshape(dd, dd, dd, dd)
+    s_term = np.einsum("abcb->acb", normal4)  # S[a, a'] where b = b'
+    s_term += s[:, :, None]
+    st_term = np.einsum("abad->abd", normal4)  # S[b', b] where a = a'
+    st_term += s.T[None]
     basis = _null_vectors(normal, tol).reshape(-1, dd, dd)
     return OperatorSubspace(dd, basis)
 

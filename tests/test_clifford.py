@@ -1,4 +1,4 @@
-"""Clifford algebra blade engine and the unital multiplier collapse.
+"""Clifford algebra blade engine, its matrix model and the unital multiplier collapse.
 
 The sign oracle multiplies blades symbolically: concatenate the generator
 lists, bubble-sort with a sign flip per transposition, cancel equal
@@ -6,6 +6,8 @@ neighbours. No bitmasks anywhere, so it cannot share a bug with the engine.
 """
 
 from __future__ import annotations
+
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -117,7 +119,7 @@ def test_trace_is_tracial(rng):
         y = clifford.CliffordElement(2, rng.normal(size=16) + 1j * rng.normal(size=16))
         txy = clifford.involution_and_trace(clifford.clifford_product(x, y))[1]
         tyx = clifford.involution_and_trace(clifford.clifford_product(y, x))[1]
-        assert abs(txy - tyx) <= 1e-12
+        assert abs(txy - tyx) <= 5e-13
 
 
 def test_blades_are_orthonormal():
@@ -132,7 +134,7 @@ def test_norm_is_coefficient_norm(rng):
     x = clifford.CliffordElement(2, coeffs)
     assert abs(x.norm - np.linalg.norm(coeffs)) <= 1e-12
     got = clifford.inner(x, x)
-    assert abs(got - np.linalg.norm(coeffs) ** 2) <= 1e-10
+    assert abs(got - np.linalg.norm(coeffs) ** 2) <= 1e-12
 
 
 def test_hilbert_export_passes_axioms():
@@ -192,3 +194,112 @@ def test_regular_pair_is_a_multiplier(rng):
             rhs = rho[j] @ (pair.right @ np.eye(4)[i])
             worst = max(worst, np.abs(lhs - rhs).max())
     assert worst <= 1e-12
+
+
+# ---------------------------------------------------------------------------
+# Jordan-Wigner matrix model
+# ---------------------------------------------------------------------------
+
+def dense_element(rng: np.random.Generator, m: int) -> clifford.CliffordElement:
+    d = 4 ** m
+    return clifford.CliffordElement(m, (rng.normal(size=d) + 1j * rng.normal(size=d)) / np.sqrt(d))
+
+
+def blade_oracle(mask_i: int, mask_j: int, m: int) -> np.ndarray:
+    sign, target = clifford.blade_product(mask_i, mask_j, m)
+    want = np.zeros(4 ** m, dtype=complex)
+    want[target] = sign
+    return want
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_product_of_blades_is_bit_exact(m):
+    for i in range(4 ** m):
+        for j in range(4 ** m):
+            got = clifford.clifford_product(clifford.blade(m, i), clifford.blade(m, j))
+            assert np.array_equal(got.coeffs, blade_oracle(i, j, m)), (i, j)
+
+
+@given(st.integers(0, 4095), st.integers(0, 4095))
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_product_of_blades_is_bit_exact_at_m6(i, j):
+    got = clifford.clifford_product(clifford.blade(6, i), clifford.blade(6, j))
+    assert np.array_equal(got.coeffs, blade_oracle(i, j, 6))
+
+
+def test_generator_matrices_satisfy_clifford_relations():
+    m = 3
+    gens = [clifford._to_matrix(clifford.blade(m, 1 << a)) for a in range(2 * m)]
+    eye = np.eye(1 << m)
+    for a, ga in enumerate(gens):
+        assert np.array_equal(ga, ga.conj().T)
+        for b, gb in enumerate(gens):
+            assert np.array_equal(ga @ gb + gb @ ga, 2.0 * eye * (a == b))
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_matrix_model_is_a_star_homomorphism(m, rng):
+    x, y = dense_element(rng, m), dense_element(rng, m)
+    q = 1 << m
+    mx, my = clifford._to_matrix(x), clifford._to_matrix(y)
+    star, trace = clifford.involution_and_trace(x)
+    # floors over 50 seeds: 0, 9e-17, 1.5e-16 relative
+    assert np.linalg.norm(clifford._to_matrix(star) - mx.conj().T) <= 1e-15 * np.linalg.norm(mx)
+    assert abs(trace - np.trace(mx) / q) <= 1e-14 * x.norm
+    assert abs(clifford.inner(x, y) - np.vdot(mx, my) / q) <= 1e-14 * x.norm * y.norm
+
+
+@pytest.mark.parametrize("m", [1, 2, 3, 4])
+def test_round_trip_is_exact_on_blades(m):
+    for mask in range(4 ** m):
+        x = clifford.blade(m, mask)
+        assert np.array_equal(clifford._from_matrix(m, clifford._to_matrix(x)), x.coeffs)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+def test_round_trip_on_dense_elements(m, rng):
+    x = dense_element(rng, m)
+    back = clifford._from_matrix(m, clifford._to_matrix(x))
+    # floor over 50 seeds: 4e-16
+    assert np.linalg.norm(back - x.coeffs) <= 1e-14 * x.norm
+
+
+@given(st.integers(0, 2 ** 32 - 1))
+@settings(max_examples=20, derandomize=True, deadline=None)
+def test_dense_product_is_associative_at_m6(seed):
+    rng = np.random.default_rng(seed)
+    x, y, z = (dense_element(rng, 6) for _ in range(3))
+    cp = clifford.clifford_product
+    left, right = cp(cp(x, y), z).coeffs, cp(x, cp(y, z)).coeffs
+    # floor over 50 seeds: 8.9e-16
+    assert np.linalg.norm(left - right) <= 1e-13 * np.linalg.norm(left)
+
+
+@pytest.mark.parametrize("build", [lambda: clifford._sign_table(7),
+                                   lambda: clifford.blade(14),
+                                   lambda: clifford._matrix_model(13)],
+                         ids=["sign_table", "blade", "matrix_model"])
+def test_allocations_are_gated(build):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            build()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_dense_product_does_not_build_the_sign_table(rng):
+    x, y = dense_element(rng, 6), dense_element(rng, 6)
+    for obj in vars(clifford).values():
+        if callable(getattr(obj, "cache_clear", None)):
+            obj.cache_clear()
+    tracemalloc.start()
+    try:
+        clifford.clifford_product(x, y)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert clifford._sign_table.cache_info().currsize == 0
+    assert peak < 1 << 20
