@@ -306,7 +306,19 @@ def verify_unital_multipliers(m: int) -> dict[str, Any]:
 
 
 def regular_pair(x: CliffordElement) -> MultiplierPair:
-    """Multiplier pair of left/right multiplication by x on the dense export."""
-    alg = as_hilbert_algebra(x.m)
-    return MultiplierPair(regular_representation(alg, x.coeffs, "left"),
-                          regular_representation(alg, x.coeffs, "right"), 0.0)
+    """Multiplier pair of left/right multiplication by x on blade coordinates.
+
+    Both are signed XOR permutations weighted by x, read off the sign table
+    in O(d²): xi_I xi_J = sign(I, J) xi_{I ^ J} puts x_I sign(I, J) at
+    (I ^ J, J) of the left matrix and x_J sign(I, J) at (I ^ J, I) of the
+    right one, as `regular_representation` gives them on the dense export.
+    """
+    d = x.coeffs.size
+    sgn = _sign_table(x.m)
+    i = np.arange(d)[:, None]
+    j = np.arange(d)[None, :]
+    left = np.zeros((d, d), dtype=complex)
+    right = np.zeros((d, d), dtype=complex)
+    left[i ^ j, j] = x.coeffs[:, None] * sgn
+    right[i ^ j, i] = x.coeffs[None, :] * sgn
+    return MultiplierPair(left, right, 0.0)

@@ -196,6 +196,30 @@ def test_regular_pair_is_a_multiplier(rng):
     assert worst <= 1e-12
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_regular_pair_matches_dense_export_exactly(m, rng):
+    d = 4 ** m
+    x = clifford.CliffordElement(m, rng.normal(size=d) + 1j * rng.normal(size=d))
+    pair = clifford.regular_pair(x)
+    alg = clifford.as_hilbert_algebra(m)
+    assert np.array_equal(pair.left, hilbert.regular_representation(alg, x.coeffs, "left"))
+    assert np.array_equal(pair.right, hilbert.regular_representation(alg, x.coeffs, "right"))
+
+
+def test_regular_pair_needs_no_dense_export(rng):
+    # two 256 x 256 complex outputs are 2.1 MB; the dense export peaks at 273 MB
+    x = dense_element(rng, 4)
+    clifford._sign_table.cache_clear()
+    tracemalloc.start()
+    try:
+        pair = clifford.regular_pair(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert pair.left.shape == pair.right.shape == (256, 256)
+    assert peak < 8 << 20
+
+
 # ---------------------------------------------------------------------------
 # Jordan-Wigner matrix model
 # ---------------------------------------------------------------------------

@@ -398,6 +398,79 @@ def test_null_vectors_match_eigh_on_hidden_blocks(case):
     assert np.abs(got - eigh_null_projector(normal, null_dim)).max() <= 1e-12
 
 
+@st.composite
+def wide_block_normals(draw, null):
+    """One dense block N = U diag(eigs) Uᴴ (Haar U) of size n <= 48 with `null`
+    zero eigenvalues (all n when null is None), wide enough that the kernel's
+    random block starts narrower than N and must decide whether to grow.
+
+    A width w stops once w - k >= 4 Ritz values lie above the cut, so nullities
+    3, 4, 5 straddle the stop at width 8 and 27, 28, 29 the stop at width 32.
+    The nonzero eigenvalues lie in [1/4, 4] with 4 attained, so the cut is
+    4e-10 at tol 1e-10; optionally two of them move to 0.5 cut and 2 cut. An
+    all-null block has eigenvalues in [0, 5e-11], below its cut of 1e-10.
+    Returns (N, whether the near-cut pair is present).
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(9 if null is None or null < 8 else 33, 48))
+    near_cut = False
+    if null is None:
+        eigs = rng.uniform(0.0, 5e-11, n)
+    else:
+        eigs = np.concatenate([np.zeros(null), [4.0], rng.uniform(0.25, 4.0, n - null - 1)])
+        near_cut = n - null >= 3 and draw(st.booleans())
+        if near_cut:
+            eigs[null + 1:null + 3] = [0.5 * 4e-10, 2.0 * 4e-10]
+    u = haar_unitary(rng, n)
+    return (u * eigs) @ u.conj().T, near_cut
+
+
+@pytest.mark.parametrize("null", [0, 3, 4, 5, 27, 28, 29, None])
+@given(data=st.data())
+@settings(derandomize=True, max_examples=12, deadline=None)
+def test_null_vectors_match_eigh_across_block_widths(null, data):
+    normal, near_cut = data.draw(wide_block_normals(null))
+    assert len(hilbert._components(normal)) == 1
+    rows = hilbert._null_vectors(normal, 1e-10)
+    eigs = np.linalg.eigvalsh(normal)
+    count = int(np.count_nonzero(eigs <= max(eigs[-1], 1.0) * 1e-10))
+    assert rows.shape == (count, normal.shape[0])
+    assert count == (normal.shape[0] if null is None else null + near_cut)
+    assert np.abs(rows @ rows.conj().T - np.eye(count)).max(initial=0.0) <= 1e-12
+    if not near_cut:
+        # eigenvectors at 0.5 cut and 2 cut are only resolved to about
+        # ε λ_max / cut by any eigensolver, so there only the count is compared
+        got = rows.T @ rows.conj()
+        assert np.abs(got - eigh_null_projector(normal, count)).max() <= 1e-12
+
+
+def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
+    # the nullspace kernel only eigensolves Rayleigh–Ritz matrices; here every
+    # block stops by width 32, against solver and commutant blocks of 512 and 169
+    sizes = []
+
+    def recording(solver):
+        def wrapped(a, *args, **kwargs):
+            sizes.append(np.shape(a)[-1])
+            return solver(a, *args, **kwargs)
+        return wrapped
+
+    for module, name in [(hilbert.sla, "eigh"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")]:
+        monkeypatch.setattr(module, name, recording(getattr(module, name)))
+    blocks = []
+    kernel = hilbert._block_null_vectors
+    monkeypatch.setattr(hilbert, "_block_null_vectors",
+                        lambda blk, cut: blocks.append(len(blk)) or kernel(blk, cut))
+    rng = np.random.default_rng(11)
+    mat4 = named_algebra("mat4")
+    pairs = hilbert.solve_multipliers(hilbert.change_basis(mat4, haar_unitary(rng, 16)))
+    assert len(pairs) == 16
+    m2m3 = hilbert.combine(named_algebra("mat2"), named_algebra("mat3"), mode="direct_sum")
+    assert hilbert.verify_caract(hilbert.change_basis(m2m3, haar_unitary(rng, 13)))["pass"]
+    assert max(blocks) == 512 and min(blocks) >= 169
+    assert sizes and max(sizes) <= hilbert._START_WIDTH * hilbert._GROWTH
+
+
 def test_null_vectors_edge_cases():
     one = hilbert._null_vectors(np.zeros((1, 1)), 1e-10)
     assert one.shape == (1, 1) and abs(abs(one[0, 0]) - 1.0) <= 1e-15
