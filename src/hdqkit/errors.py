@@ -1,8 +1,13 @@
-"""Exception types shared across the kit.
+"""Exception types shared across the kit, and its one memory gate.
 
 Every error raised on purpose by the library derives from HdqError so CLI
-code can map failures to exit status 2 without enumerating modules.
+code can map failures to exit status 2 without enumerating modules. Every
+dense allocation whose size follows from the caller's input is checked by
+`gate` before it happens: one limit of MAX_ENTRIES array entries (1 GiB of
+complex128) for the whole kit.
 """
+
+MAX_ENTRIES = 1 << 26
 
 
 class HdqError(Exception):
@@ -43,6 +48,12 @@ class QuadratureError(HdqError):
 
 class ResourceError(HdqError):
     """A requested computation exceeds the desk-scale memory/time gates."""
+
+
+def gate(entries: int, what: str) -> None:
+    """Raise ResourceError when `what` needs more than MAX_ENTRIES entries."""
+    if entries > MAX_ENTRIES:
+        raise ResourceError(f"{what} needs {entries} entries, above the gate {MAX_ENTRIES}")
 
 
 class InvalidArgument(HdqError, ValueError):

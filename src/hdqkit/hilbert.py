@@ -16,8 +16,10 @@ eigenvalue by Lanczos, and finds the nullspace of each block by shifted
 inverse subspace iteration (one Cholesky factor) with a Rayleigh–Ritz step on
 a random block that grows until it holds the nullspace and a few spare
 directions. Normal equations square the condition number of the basis; see
-`solve_multipliers` for the supported range. A ResourceError is raised before
-a normal matrix or tensor product over `_MAX_NORMAL_ENTRIES` entries is built.
+`solve_multipliers` for the supported range. `errors.gate` raises a
+ResourceError before a normal matrix, the solver's defect tensor, a tensor
+product or an example's structure tensor over `errors.MAX_ENTRIES` entries is
+built.
 
 Conventions
 -----------
@@ -37,7 +39,7 @@ import numpy as np
 import scipy.linalg as sla
 
 from .errors import (InvalidArgument, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
-                     ResourceError, StructureError)
+                     StructureError, gate)
 
 __all__ = [
     "FiniteHilbertAlgebra",
@@ -60,15 +62,11 @@ __all__ = [
 
 Side = Literal["left", "right"]
 
-# memory gate on normal-matrix entries (1 GiB of complex128), as in moyal
-_MAX_NORMAL_ENTRIES = 1 << 26
-
-# subspace iteration in _block_null_vectors: start width, growth factor, Ritz
-# values required above the cut, and inverse-iteration steps per width
+# subspace iteration in _block_null_vectors: start width, growth factor, and
+# Ritz values required above the cut
 _START_WIDTH = 8
 _GROWTH = 4
 _OVERSAMPLE = 4
-_STEPS = 2
 
 
 @dataclass(frozen=True)
@@ -273,11 +271,6 @@ def validate_axioms(alg: FiniteHilbertAlgebra, tol: float = 1e-10) -> dict[str, 
 # multiplier pairs
 # ---------------------------------------------------------------------------
 
-def _gate(entries: int, what: str) -> None:
-    if entries > _MAX_NORMAL_ENTRIES:
-        raise ResourceError(f"{what} needs {entries} entries, above the gate {_MAX_NORMAL_ENTRIES}")
-
-
 def _components(normal: np.ndarray) -> list[np.ndarray]:
     """Index sets of the connected components of the nonzero pattern.
 
@@ -340,21 +333,26 @@ def _block_null_vectors(blk: np.ndarray, cut: float) -> np.ndarray:
     """Orthonormal columns spanning the eigenvectors of blk with eigenvalue <= cut.
 
     Block inverse subspace iteration with a Rayleigh–Ritz step (Rutishauser,
-    1970): a seeded complex Gaussian block of width `_START_WIDTH` takes
-    `_STEPS` solves with one Cholesky factor of blk + cut·I, each followed by
-    a QR, and the Ritz vectors of the small projected matrix with Ritz value
-    at most the cut are kept. As in a randomized range finder, the width grows
-    by `_GROWTH` until at least `_OVERSAMPLE` Ritz values lie above the cut,
-    or reaches the block size, where the Ritz step is a full eigensolve.
+    1970): a seeded complex Gaussian block of width `_START_WIDTH` takes two
+    solves with one Cholesky factor of blk + cut·I and then one QR, and the
+    Ritz vectors of the small projected matrix with Ritz value at most the cut
+    are kept. Without a QR between them the two solves amplify the block by
+    at most cut⁻² ≤ (64ε)⁻², far from overflow. As in a randomized range
+    finder, the width grows by `_GROWTH` until at least `_OVERSAMPLE` Ritz
+    values lie above the cut, or reaches the block size, where the Ritz step
+    is a full eigensolve.
     """
     n = blk.shape[0]
-    factor = sla.cho_factor(blk + cut * np.eye(n), overwrite_a=True, check_finite=False)
+    shifted = blk.copy()
+    shifted.flat[::n + 1] += cut
+    factor = sla.cho_factor(shifted, overwrite_a=True, check_finite=False)
     rng = np.random.default_rng(0)
     width = min(n, _START_WIDTH)
     while True:
         v = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-        for _ in range(_STEPS):
-            v = np.linalg.qr(sla.cho_solve(factor, v, check_finite=False))[0]
+        v = sla.cho_solve(factor, sla.cho_solve(factor, v, check_finite=False),
+                          check_finite=False)
+        v = np.linalg.qr(v)[0]
         ritz, vecs = np.linalg.eigh(v.conj().T @ blk @ v)
         kept = ritz <= cut
         if width - np.count_nonzero(kept) >= _OVERSAMPLE or width == n:
@@ -384,7 +382,8 @@ def _null_vectors(normal: np.ndarray, tol: float) -> np.ndarray:
     """
     n = normal.shape[0]
     comps = _components(normal)
-    blocks = [normal[np.ix_(idx, idx)] for idx in comps]
+    # a one-component normal, as every Haar-rotated solver normal, is not copied
+    blocks = [normal] if len(comps) == 1 else [normal[np.ix_(idx, idx)] for idx in comps]
     lam_max = max(max((_top_eigenvalue(blk) for blk in blocks), default=0.0), 1.0)
     cut = lam_max * max(tol, 64.0 * np.finfo(float).eps)
     rows = [np.zeros((0, n), dtype=complex)]
@@ -423,11 +422,13 @@ def solve_multipliers(alg: FiniteHilbertAlgebra, tol: float = 1e-10
     q = O diag(logspace) Oᵀ on s3, mat2 and c3, pair counts are right through
     cond(q) = 1e4 and break at 1e5; defects relative to max|c| ‖L‖_F grow as
     cond(q)², up to 7e-12 at 1e3 and 4e-9 at 1e4. `verify_caract` passes
-    through cond(q) = 1e2. Raises ResourceError above `_MAX_NORMAL_ENTRIES`.
+    through cond(q) = 1e2. `errors.gate` raises ResourceError when the
+    normal matrix, or the p x d x d x d defect residuals of the p pairs found,
+    would exceed `errors.MAX_ENTRIES`; a degenerate algebra has up to 2d² pairs.
     """
     d = alg.dim
     dd = d * d
-    _gate((2 * dd) ** 2, f"solve_multipliers at d={d}")
+    gate((2 * dd) ** 2, f"solve_multipliers at d={d}")
     w = alg.frame()
     winv = np.linalg.inv(w)
     c = change_basis(alg, winv).structure
@@ -438,6 +439,7 @@ def solve_multipliers(alg: FiniteHilbertAlgebra, tol: float = 1e-10
     null = _null_vectors(np.block([
         [np.kron(np.einsum("iak,ibk->ab", cc, c), eye), b],
         [b.conj().T, np.kron(np.einsum("ajk,bjk->ab", cc, c), eye)]]), tol)
+    gate(len(null) * d ** 3, f"defects of {len(null)} multiplier pairs at d={d}")
 
     lefts = winv @ null[:, :dd].reshape(-1, d, d) @ w
     rights = winv @ null[:, dd:].reshape(-1, d, d) @ w
@@ -472,7 +474,7 @@ def commutant(generators: Iterable[np.ndarray], ambient_dim: int,
     """
     dd = ambient_dim
     n = dd * dd
-    _gate(n * n, f"commutant at ambient dimension {dd}")
+    gate(n * n, f"commutant at ambient dimension {dd}")
     gens = np.asarray(list(generators), dtype=complex).reshape(-1, dd, dd)
     gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
     flat = gens.reshape(-1, n)
@@ -650,7 +652,7 @@ def combine(a: FiniteHilbertAlgebra, b: FiniteHilbertAlgebra,
         g[da:, da:] = b.gram
         return FiniteHilbertAlgebra(c, s, g, name=f"{a.name}(+){b.name}")
     if mode == "tensor":
-        _gate((da * db) ** 3, f"tensor product at d={da * db}")
+        gate((da * db) ** 3, f"tensor product at d={da * db}")
         c = np.einsum("ikm,jln->ijklmn", a.structure, b.structure)
         c = c.reshape(da * db, da * db, da * db)
         s = np.kron(a.involution, b.involution)
@@ -781,6 +783,7 @@ def group_algebra(table: np.ndarray, name: str = "group") -> FiniteHilbertAlgebr
     n = table.shape[0]
     if table.shape != (n, n):
         raise ParseError("group table must be square")
+    gate(n ** 3, f"structure tensor of a group of order {n}")
     if not (np.all(table[0] == np.arange(n)) and np.all(table[:, 0] == np.arange(n))):
         raise ParseError("index 0 must be the group identity")
     c = np.zeros((n, n, n), dtype=complex)
@@ -799,6 +802,7 @@ def group_algebra(table: np.ndarray, name: str = "group") -> FiniteHilbertAlgebr
 def full_matrix_algebra(n: int) -> FiniteHilbertAlgebra:
     """n x n matrices with <a,b> = tr(a* b), in the matrix-unit basis."""
     d = n * n
+    gate(d ** 3, f"structure tensor of mat{n}")
 
     def flat(i: int, j: int) -> int:
         return i * n + j

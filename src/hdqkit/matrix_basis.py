@@ -32,8 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NotSquareIntegrable, ResourceError, SpecMismatch, TruncationError
-from .moyal import _MAX_GRID_ENTRIES, GridFunction, GridSpec
+from .errors import NotSquareIntegrable, SpecMismatch, TruncationError, gate
+from .moyal import GridFunction, GridSpec
 
 # The Gram error of the sampled Hermite functions bounds the transforms'
 # round-trip error; 1e-12 is the basis benchmark's round-trip gate.
@@ -96,8 +96,7 @@ def synthesize_basis(spec: GridSpec, trunc: int) -> BasisCache:
     if trunc < 1:
         raise SpecMismatch("truncation must be at least 1")
     count = 2 * trunc - 1
-    if 2 * spec.M * count + count ** 3 // 3 > _MAX_GRID_ENTRIES:
-        raise ResourceError(f"truncation {trunc} exceeds the memory gate")
+    gate(2 * spec.M * count + count ** 3 // 3, f"matrix basis at truncation {trunc}")
     scale = np.sqrt(2.0 / spec.theta)
     s = scale * np.stack([spec.axis(0), spec.axis(1)])
     psi = np.zeros((count, 2, spec.M))  # three-term recurrence; psi[-1] is zero at k = 1

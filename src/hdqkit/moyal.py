@@ -26,11 +26,10 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import QuadratureError, ResourceError, SpecMismatch
+from .errors import QuadratureError, ResourceError, SpecMismatch, gate
 
 Side = Literal["left", "right"]
 
-_MAX_GRID_ENTRIES = 1 << 26  # memory gate for n = 2 grids
 _PAIR_CHUNK = 64  # products per _fast_pairs_2d call, bounding its (pairs, M, M) blocks
 
 # split_pairs probe schedule: widths 8, 32, 128, ... while the width is below
@@ -70,9 +69,7 @@ class GridSpec:
         if min(half) <= 0:
             raise SpecMismatch("half-widths must be positive")
         object.__setattr__(self, "L", half)
-        if self.M ** (2 * self.n) > _MAX_GRID_ENTRIES:
-            raise ResourceError(
-                f"grid of {self.M}^{2 * self.n} samples exceeds the memory gate")
+        gate(self.M ** (2 * self.n), f"grid of {self.M}^{2 * self.n} samples")
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -297,7 +294,11 @@ def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
 def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction],
                     pairs: Sequence[tuple[int, int]] | None = None
                     ) -> list[GridFunction]:
-    """Batched n=1 star products sharing the per-mode transforms."""
+    """Batched n=1 star products sharing the per-mode transforms.
+
+    Raises ResourceError when the len(pairs) products of M² entries each
+    exceed `errors.MAX_ENTRIES`.
+    """
     if not fs or not gs:
         return []
     spec = fs[0].spec
@@ -310,6 +311,7 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction],
         if len(fs) != len(gs):
             raise SpecMismatch("without explicit pairs, need equal-length lists")
         pairs = [(i, i) for i in range(len(fs))]
+    gate(len(pairs) * spec.M ** 2, f"{len(pairs)} star products")
     fhats = np.stack([to_modes(fn) for fn in fs])
     ghats = np.stack([to_modes(gn) for gn in gs])
     results: list[GridFunction] = []

@@ -35,31 +35,6 @@ _EDGE = 0.97   # and exactly 0 outside this fraction
 _MASK = 0.50   # residuals are compared inside this fraction
 
 
-@dataclass(frozen=True)
-class SymmetryGenerator:
-    """A generator of the translation symmetry: coordinate, plane wave, or unit."""
-
-    kind: str
-    index: int | None = None
-    x0: tuple[float, ...] | None = None
-
-    def __post_init__(self) -> None:
-        if self.kind not in ("coordinate", "plane_wave", "unit"):
-            raise SpecMismatch(f"unknown generator kind {self.kind!r}")
-        if self.kind == "coordinate" and (self.index is None or self.index < 0):
-            raise SpecMismatch("coordinate generators need a nonnegative index")
-        if self.kind == "plane_wave" and self.x0 is None:
-            raise SpecMismatch("plane-wave generators need a base point")
-
-
-def coordinate(j: int) -> SymmetryGenerator:
-    return SymmetryGenerator("coordinate", index=j)
-
-
-def plane_wave(x0: Sequence[float]) -> SymmetryGenerator:
-    return SymmetryGenerator("plane_wave", x0=tuple(float(v) for v in x0))
-
-
 def _bump(x: np.ndarray) -> np.ndarray:
     """exp(-1/x) glued to 0, the standard smooth step ingredient."""
     out = np.zeros_like(x)

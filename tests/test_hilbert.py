@@ -327,6 +327,23 @@ def test_solver_gates_normal_matrix_size():
             hilbert.FiniteHilbertAlgebra(zero, zero[0], zero[0], name="zero"))
 
 
+def test_solver_gates_defect_tensor_size():
+    # the all-zero d = 33 algebra has 2 * 33² = 2178 pairs, whose defect
+    # residuals need 2178 * 33³ ~ 7.8e7 entries (1.25 GB per temporary); the
+    # peak before the gate trips, the normal matrix and the null rows, was 249 MB
+    d = 33
+    zero = np.zeros((d, d, d), dtype=complex)
+    alg = hilbert.FiniteHilbertAlgebra(zero, np.eye(d), np.eye(d), name="zero")
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            hilbert.solve_multipliers(alg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 320 << 20
+
+
 def test_pair_product_and_adjoint_stay_multipliers(s3):
     pairs = hilbert.solve_multipliers(s3)
     prod = pairs[1] @ pairs[3]
@@ -688,6 +705,22 @@ def test_tensor_product_gates_structure_size():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_example_constructors_gate_structure_size():
+    # mat21 needs 21⁶ ~ 8.6e7 structure entries, a group of order 407 needs
+    # 407³ ~ 6.74e7; both exceed the gate, checked before the tensor exists
+    table = hilbert._cyclic_table(407)
+    for build in (lambda: hilbert.full_matrix_algebra(21),
+                  lambda: hilbert.group_algebra(table)):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ResourceError):
+                build()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
 
 def test_tensor_gram_factorizes(m2, c3, rng):

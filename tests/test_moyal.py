@@ -5,6 +5,8 @@ straight from their formulas, an unfactored double-sum quadrature, and
 analytic operator kernels obtained by hand-evaluating the p-integral.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,6 +155,23 @@ def test_spec_rejects_bad_sizes():
 def test_spec_memory_gate():
     with pytest.raises(ResourceError):
         GridSpec(n=2, M=128)
+
+
+def test_pair_batch_memory_gate():
+    # the n = 2 product sends all r_f r_g factor pairs here: two full-rank
+    # M = 32 grids give 1024² pairs, 2³⁰ entries of products per side. One
+    # pair above 2²⁶ / 32² is refused before any mode is transformed.
+    spec = GridSpec(n=1, M=32, L=4.5 * np.sqrt(2.0), theta=2.0)
+    h = GridFunction(spec, np.ones(spec.shape))
+    pairs = [(0, 0)] * ((1 << 16) + 1)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ResourceError):
+            moyal_fast_many([h], [h], pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_default_spec_box():

@@ -13,15 +13,12 @@ from hdqkit.moyal import (
 )
 from hdqkit.symmetry import (
     BchResult,
-    SymmetryGenerator,
     bch_phase,
     classical_sobolev_norm,
-    coordinate,
     coordinate_function,
     heisenberg_check,
     interior_mask,
     linear_commutator_check,
-    plane_wave,
     plane_wave_bch,
     schwartz_seminorm,
     sobolev_norm,
@@ -92,26 +89,8 @@ def spec64():
 
 
 # ---------------------------------------------------------------------------
-# generators and windows
+# coordinates and windows
 # ---------------------------------------------------------------------------
-
-
-def test_generator_kinds():
-    g = coordinate(1)
-    assert g.kind == "coordinate" and g.index == 1
-    w = plane_wave((0.5, -0.25))
-    assert w.x0 == (0.5, -0.25)
-    u = SymmetryGenerator("unit")
-    assert u.kind == "unit"
-
-
-def test_generator_validation():
-    with pytest.raises(SpecMismatch):
-        SymmetryGenerator("rotation")
-    with pytest.raises(SpecMismatch):
-        SymmetryGenerator("coordinate")
-    with pytest.raises(SpecMismatch):
-        SymmetryGenerator("plane_wave")
 
 
 def test_coordinate_index_range(spec128):
