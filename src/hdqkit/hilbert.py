@@ -7,15 +7,15 @@ antilinear involution acts as v -> C · conj(v) for a unitary C.
 
 Multiplier pairs, commutants and the center are nullspaces, all taken by one
 kernel, `_null_vectors`: the eigenvectors of a closed-form Hermitian normal
-matrix AᴴA (A itself is never built) with eigenvalue at most tol times the
-top one. The kernel computes only those eigenvectors and never reduces a
-normal matrix to tridiagonal form: it solves each exact diagonal block of the
-normal matrix's nonzero pattern on its own (the doubled-space generators
-diag(L, C⁻¹LC) split a commutant into four blocks), estimates the top
-eigenvalue by Lanczos, and finds the nullspace of each block by shifted
-inverse subspace iteration (one Cholesky factor) with a Rayleigh–Ritz step on
-a random block that grows until it holds the nullspace and a few spare
-directions. Normal equations square the condition number of the basis; see
+matrix AᴴA (A itself is never built) with eigenvalue at most `_TOL` = 1e-10
+times max(top one, 1); `_TOL` is also every verifier's pass bound. The kernel
+computes only those eigenvectors and never reduces a normal matrix to
+tridiagonal form: it solves each exact diagonal block of the normal matrix's
+nonzero pattern on its own (the doubled-space generators diag(L, C⁻¹LC) split
+a commutant into four blocks), estimates the top eigenvalue by Lanczos, and
+finds the nullspace of each block by shifted inverse subspace iteration (one
+Cholesky factor) with a Rayleigh–Ritz step on a random block that grows until
+it holds the nullspace and a few spare directions. Normal equations square the condition number of the basis; see
 `solve_multipliers` for the supported range. `errors.gate` raises a
 ResourceError before a normal matrix, the solver's defect tensor, a tensor
 product or an example's structure tensor over `errors.MAX_ENTRIES` entries is
@@ -61,6 +61,9 @@ __all__ = [
 ]
 
 Side = Literal["left", "right"]
+
+# nullspace cut relative to max(λ_max, 1), and every verifier's pass bound
+_TOL = 1e-10
 
 # subspace iteration in _block_null_vectors: start width, growth factor, and
 # Ritz values required above the cut
@@ -184,12 +187,11 @@ class OperatorSubspace:
                          self._distances(other.basis).max(initial=0.0)))
 
     @staticmethod
-    def from_matrices(mats: Iterable[np.ndarray], ambient_dim: int,
-                      tol: float = 1e-12) -> "OperatorSubspace":
+    def from_matrices(mats: Iterable[np.ndarray], ambient_dim: int) -> "OperatorSubspace":
         stack = np.array([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
         if stack.size == 0:
             return OperatorSubspace(ambient_dim, np.zeros((0, ambient_dim, ambient_dim)))
-        q = sla.orth(stack.T, rcond=tol)
+        q = sla.orth(stack.T, rcond=1e-12)
         basis = q.T.reshape(-1, ambient_dim, ambient_dim)
         return OperatorSubspace(ambient_dim, basis)
 
@@ -217,7 +219,7 @@ def _check_gram(gram: np.ndarray) -> None:
         raise InvalidGram(f"gram matrix not positive definite (min eig {eigs.min():.3e})")
 
 
-def validate_axioms(alg: FiniteHilbertAlgebra, tol: float = 1e-10) -> dict[str, Any]:
+def validate_axioms(alg: FiniteHilbertAlgebra) -> dict[str, Any]:
     """Per-axiom residuals of alg; raises InvalidGram for a bad Gram matrix."""
     c, s, g = alg.structure, alg.involution, alg.gram
     d = alg.dim
@@ -258,12 +260,12 @@ def validate_axioms(alg: FiniteHilbertAlgebra, tol: float = 1e-10) -> dict[str, 
     # axiom: products span the algebra
     prod_rows = c.reshape(d * d, d)
     svals = np.linalg.svd(prod_rows, compute_uv=False)
-    rank = int(np.sum(svals > tol * max(svals.max(), 1.0)))
+    rank = int(np.sum(svals > _TOL * max(svals.max(), 1.0)))
     res["axiom_product_density"] = 0.0 if rank == d else 1.0
     report["axiom_product_density"] = res["axiom_product_density"]
     report["product_span_rank"] = rank
 
-    report["pass"] = all(v <= tol for v in res.values())
+    report["pass"] = all(v <= _TOL for v in res.values())
     return report
 
 
@@ -306,8 +308,11 @@ def _top_eigenvalue(normal: np.ndarray) -> float:
     ‖N y − θ y‖ = β |s_k| of the top Ritz pair (θ, y) is at most 1e-12 θ,
     which puts an eigenvalue within 1e-12 θ of θ (λ_max, unless the start
     vector is orthogonal to its eigenspace), or at step n, where it is exact.
+    A 1 × 1 matrix is its own eigenvalue.
     """
     n = normal.shape[0]
+    if n == 1:
+        return float(normal[0, 0].real)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
@@ -337,12 +342,14 @@ def _block_null_vectors(blk: np.ndarray, cut: float) -> np.ndarray:
     solves with one Cholesky factor of blk + cut·I and then one QR, and the
     Ritz vectors of the small projected matrix with Ritz value at most the cut
     are kept. Without a QR between them the two solves amplify the block by
-    at most cut⁻² ≤ (64ε)⁻², far from overflow. As in a randomized range
+    at most cut⁻² ≤ 1e20, far from overflow. As in a randomized range
     finder, the width grows by `_GROWTH` until at least `_OVERSAMPLE` Ritz
     values lie above the cut, or reaches the block size, where the Ritz step
-    is a full eigensolve.
+    is a full eigensolve. A 1 × 1 block is answered from its one entry.
     """
     n = blk.shape[0]
+    if n == 1:
+        return np.ones((1, 1 if blk[0, 0].real <= cut else 0), dtype=complex)
     shifted = blk.copy()
     shifted.flat[::n + 1] += cut
     factor = sla.cho_factor(shifted, overwrite_a=True, check_finite=False)
@@ -360,12 +367,12 @@ def _block_null_vectors(blk: np.ndarray, cut: float) -> np.ndarray:
         width = min(n, _GROWTH * width)
 
 
-def _null_vectors(normal: np.ndarray, tol: float) -> np.ndarray:
+def _null_vectors(normal: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the numerical nullspace of a PSD matrix.
 
-    Keeps the eigenvectors with eigenvalue at most max(λ_max, 1) max(tol,
-    64ε): eigenvalues are squared residuals, but the noise floor on true
-    zeros scales linearly with the top eigenvalue, so the cutoff does too.
+    Keeps the eigenvectors with eigenvalue at most the cut `_TOL` max(λ_max,
+    1): eigenvalues are squared residuals, but the noise floor on true zeros
+    scales linearly with the top eigenvalue, so the cut does too.
     Only the nullspace is computed, and no block is reduced to tridiagonal
     form. The matrix is split into the exact diagonal blocks of its nonzero
     pattern (`_components`), λ_max is the largest Lanczos estimate over the
@@ -374,25 +381,21 @@ def _null_vectors(normal: np.ndarray, tol: float) -> np.ndarray:
     solve shrinks a component at eigenvalue μ by cut/(μ + cut) relative to
     the null ones, under 1e-9 across the spectral gaps of the solver and
     commutant normals, and the spare Ritz values above the cut keep the random
-    block wider than the nullspace, so no null direction is missed. A much
-    larger tol costs accuracy, since two solves damp a stray component only
-    by about (cut/μ)²: at tol = 1e-3 the rows were up to 5e-7 from the exact
-    nullspace of blocks whose nonzero spectrum fills [λ_max/16, λ_max]. Rows
-    are orthonormal to rounding and zero outside the block they come from.
+    block wider than the nullspace, so no null direction is missed. Rows are
+    orthonormal to rounding, zero outside the block they come from, and
+    written into one array in block order.
     """
-    n = normal.shape[0]
     comps = _components(normal)
     # a one-component normal, as every Haar-rotated solver normal, is not copied
     blocks = [normal] if len(comps) == 1 else [normal[np.ix_(idx, idx)] for idx in comps]
-    lam_max = max(max((_top_eigenvalue(blk) for blk in blocks), default=0.0), 1.0)
-    cut = lam_max * max(tol, 64.0 * np.finfo(float).eps)
-    rows = [np.zeros((0, n), dtype=complex)]
-    for idx, blk in zip(comps, blocks):
-        vecs = _block_null_vectors(blk, cut)
-        out = np.zeros((vecs.shape[1], n), dtype=complex)
-        out[:, idx] = vecs.T
-        rows.append(out)
-    return np.concatenate(rows)
+    cut = _TOL * max(max((_top_eigenvalue(blk) for blk in blocks), default=0.0), 1.0)
+    vecs = [_block_null_vectors(blk, cut) for blk in blocks]
+    rows = np.zeros((sum(v.shape[1] for v in vecs), normal.shape[0]), dtype=complex)
+    start = 0
+    for idx, v in zip(comps, vecs):
+        rows[start:start + v.shape[1], idx] = v.T
+        start += v.shape[1]
+    return rows
 
 
 def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
@@ -407,15 +410,14 @@ def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
     return np.abs(resid).max(axis=(1, 2, 3), initial=0.0)
 
 
-def solve_multipliers(alg: FiniteHilbertAlgebra, tol: float = 1e-10
-                      ) -> list[MultiplierPair]:
+def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     """All pairs (L,R) with lam(x) L(y) = rho(y) R(x), as a nullspace.
 
     The d³ x 2d² defect system is never built: its normal matrix is
     [[kron(sum_i lam_iᴴ lam_i, I), B], [Bᴴ, kron(sum_j rho_jᴴ rho_j, I)]],
     B[(a, j), (b, i)] = -sum_k conj(c[i, a, k]) c[b, j, k], from the structure
     constants c in the orthonormal frame W. Its null vectors (L_W, R_W), with
-    eigenvalue at most tol times the top one, are orthonormal in that stacked
+    eigenvalue at most `_TOL` times the top one, are orthonormal in that stacked
     vectorization and are returned on coordinates as W⁻¹ L_W W, W⁻¹ R_W W.
 
     Normal equations square the condition number of a basis change q. For
@@ -438,7 +440,7 @@ def solve_multipliers(alg: FiniteHilbertAlgebra, tol: float = 1e-10
     b = b.reshape(dd, dd)
     null = _null_vectors(np.block([
         [np.kron(np.einsum("iak,ibk->ab", cc, c), eye), b],
-        [b.conj().T, np.kron(np.einsum("ajk,bjk->ab", cc, c), eye)]]), tol)
+        [b.conj().T, np.kron(np.einsum("ajk,bjk->ab", cc, c), eye)]]))
     gate(len(null) * d ** 3, f"defects of {len(null)} multiplier pairs at d={d}")
 
     lefts = winv @ null[:, :dd].reshape(-1, d, d) @ w
@@ -458,14 +460,14 @@ def pair_adjoint(alg: FiniteHilbertAlgebra, pair: MultiplierPair) -> MultiplierP
     return MultiplierPair(adj(pair.left), adj(pair.right), pair.defect)
 
 
-def commutant(generators: Iterable[np.ndarray], ambient_dim: int,
-              tol: float = 1e-10) -> OperatorSubspace:
+def commutant(generators: Iterable[np.ndarray], ambient_dim: int) -> OperatorSubspace:
     """Commutant of a set of matrices (adjoints are adjoined first).
 
     Matrices must be expressed in an orthonormal frame for the adjoint to
     coincide with the conjugate transpose. Over the ᴴ-closed set G the
     normal matrix of gX = Xg is kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g,
-    conj(g)) with S = sum_g gᴴg; tol and the gate are as in solve_multipliers.
+    conj(g)) with S = sum_g gᴴg; the cut and the gate are as in
+    solve_multipliers.
     X[a, b] couples to X[a', b'] only through g[a, a'], g[b, b'], S[a, a']
     and S[b', b], all zero across the blocks of block-diagonal generators, so
     those split the solve exactly: for diag(L, C⁻¹LC) on the doubled space
@@ -489,7 +491,7 @@ def commutant(generators: Iterable[np.ndarray], ambient_dim: int,
     s_term += s[:, :, None]
     st_term = np.einsum("abad->abd", normal4)  # S[b', b] where a = a'
     st_term += s.T[None]
-    basis = _null_vectors(normal, tol).reshape(-1, dd, dd)
+    basis = _null_vectors(normal).reshape(-1, dd, dd)
     return OperatorSubspace(dd, basis)
 
 
@@ -514,7 +516,7 @@ def _embed_left(lmats_frame: np.ndarray, cmat: np.ndarray) -> np.ndarray:
     return out
 
 
-def verify_caract(alg: FiniteHilbertAlgebra, tol: float = 1e-10,
+def verify_caract(alg: FiniteHilbertAlgebra,
                   pairs: list[MultiplierPair] | None = None) -> dict[str, Any]:
     """Bicommutant characterization of the multiplier pairs.
 
@@ -526,11 +528,11 @@ def verify_caract(alg: FiniteHilbertAlgebra, tol: float = 1e-10,
 
     # c.transpose(0, 2, 1) is the stack of lam(e_i)
     gens = _embed_left(w @ alg.structure.transpose(0, 2, 1) @ winv, cmat)
-    first = commutant(gens, 2 * d, tol)
-    second = commutant(first.basis, 2 * d, tol)
+    first = commutant(gens, 2 * d)
+    second = commutant(first.basis, 2 * d)
 
     if pairs is None:
-        pairs = solve_multipliers(alg, tol)
+        pairs = solve_multipliers(alg)
     lefts = np.array([p.left for p in pairs]).reshape(-1, d, d)
     span = OperatorSubspace.from_matrices(_embed_left(w @ lefts @ winv, cmat), 2 * d)
 
@@ -540,12 +542,12 @@ def verify_caract(alg: FiniteHilbertAlgebra, tol: float = 1e-10,
         "bicommutant_dim": second.dim,
         "span_residual": residual,
         "max_pair_defect": max((p.defect for p in pairs), default=0.0),
-        "pass": residual <= tol and second.dim == span.dim,
+        "pass": residual <= _TOL and second.dim == span.dim,
     }
     return report
 
 
-def verify_commutant_structure(alg: FiniteHilbertAlgebra, tol: float = 1e-10,
+def verify_commutant_structure(alg: FiniteHilbertAlgebra,
                                pairs: list[MultiplierPair] | None = None
                                ) -> dict[str, Any]:
     """Block form of the commutant of the embedded multiplier algebra.
@@ -561,10 +563,10 @@ def verify_commutant_structure(alg: FiniteHilbertAlgebra, tol: float = 1e-10,
     cinv = cmat.conj().T
 
     if pairs is None:
-        pairs = solve_multipliers(alg, tol)
+        pairs = solve_multipliers(alg)
     lefts = np.array([p.left for p in pairs]).reshape(-1, d, d)
     rights = np.array([p.right for p in pairs]).reshape(-1, d, d)
-    comm = commutant(_embed_left(w @ lefts @ winv, cmat), 2 * d, tol)
+    comm = commutant(_embed_left(w @ lefts @ winv, cmat), 2 * d)
 
     # c.transpose(1, 2, 0) is the stack of rho(e_j)
     rmats = np.concatenate([alg.structure.transpose(1, 2, 0), rights])
@@ -583,13 +585,12 @@ def verify_commutant_structure(alg: FiniteHilbertAlgebra, tol: float = 1e-10,
         "commutant_dim": comm.dim,
         "expected_dim": expected,
         "block_residual": block_residual,
-        "pass": comm.dim == expected and block_residual <= tol,
+        "pass": comm.dim == expected and block_residual <= _TOL,
     }
     return report
 
 
-def natural_trace_check(alg: FiniteHilbertAlgebra, tol: float = 1e-10
-                        ) -> dict[str, Any]:
+def natural_trace_check(alg: FiniteHilbertAlgebra) -> dict[str, Any]:
     """Solve for the trace functional with tau(x* y) = <x,y> and verify it.
 
     The functional lives on coordinates (products span the algebra). Raises
@@ -615,20 +616,20 @@ def natural_trace_check(alg: FiniteHilbertAlgebra, tol: float = 1e-10
         "functional": t,
         "identity_residual": residual,
         "traciality_residual": comm_res,
-        "pass": residual <= tol and comm_res <= tol,
+        "pass": residual <= _TOL and comm_res <= _TOL,
     }
 
 
-def center(alg: FiniteHilbertAlgebra, tol: float = 1e-10) -> np.ndarray:
+def center(alg: FiniteHilbertAlgebra) -> np.ndarray:
     """Orthonormal coordinate basis of {z : lam(z) = rho(z)}, shape (k, d).
 
-    A nullspace by `_null_vectors`, with tol as in `solve_multipliers`.
+    A nullspace by `_null_vectors`, with the cut as in `solve_multipliers`.
     """
     c = alg.structure
     d = alg.dim
     # (lam_z - rho_z)[k,l] = sum_i z_i (c[i,l,k] - c[l,i,k])
     bmat = (c.transpose(2, 1, 0) - c.transpose(2, 0, 1)).reshape(d * d, d)
-    return _null_vectors(bmat.conj().T @ bmat, tol)
+    return _null_vectors(bmat.conj().T @ bmat)
 
 
 # ---------------------------------------------------------------------------
@@ -661,8 +662,7 @@ def combine(a: FiniteHilbertAlgebra, b: FiniteHilbertAlgebra,
     raise InvalidArgument(f"mode must be 'direct_sum' or 'tensor', got {mode!r}")
 
 
-def change_basis(alg: FiniteHilbertAlgebra, q: np.ndarray,
-                 name: str | None = None) -> FiniteHilbertAlgebra:
+def change_basis(alg: FiniteHilbertAlgebra, q: np.ndarray) -> FiniteHilbertAlgebra:
     """Rewrite the algebra in the basis f_i = sum_a q[a,i] e_a (q invertible)."""
     qinv = np.linalg.inv(q)
     c = np.einsum("ai,bj,abm,km->ijk", q, q, alg.structure, qinv, optimize=True)
@@ -671,11 +671,11 @@ def change_basis(alg: FiniteHilbertAlgebra, q: np.ndarray,
     # S'^T = qinv @ S^T @ conj(q)
     s = (qinv @ alg.involution.T @ np.conj(q)).T
     g = np.conj(q.T) @ alg.gram @ q
-    return FiniteHilbertAlgebra(c, s, g, name=name or f"{alg.name}~")
+    return FiniteHilbertAlgebra(c, s, g, name=f"{alg.name}~")
 
 
-def inner_automorphism(alg: FiniteHilbertAlgebra, pair: MultiplierPair,
-                       tol: float = 1e-9) -> tuple[np.ndarray, dict[str, Any]]:
+def inner_automorphism(alg: FiniteHilbertAlgebra, pair: MultiplierPair
+                       ) -> tuple[np.ndarray, dict[str, Any]]:
     """Automorphism x -> L(R*(x)) induced by a unitary multiplier pair."""
     d = alg.dim
     w, winv, _ = _frame_conjugation(alg)
@@ -702,14 +702,14 @@ def inner_automorphism(alg: FiniteHilbertAlgebra, pair: MultiplierPair,
         "multiplicative_residual": mult_res,
         "involution_residual": star_res,
         "unitary_residual": unitary_res,
-        "pass": max(mult_res, star_res, unitary_res) <= tol,
+        "pass": max(mult_res, star_res, unitary_res) <= 1e-9,
     }
     return u, report
 
 
 def extend_isomorphism(phi: np.ndarray, a: FiniteHilbertAlgebra,
-                       b: FiniteHilbertAlgebra, pair: MultiplierPair,
-                       tol: float = 1e-9) -> tuple[MultiplierPair, dict[str, Any]]:
+                       b: FiniteHilbertAlgebra, pair: MultiplierPair
+                       ) -> tuple[MultiplierPair, dict[str, Any]]:
     """Push a multiplier pair through a unitary *-isomorphism phi: a -> b.
 
     Verifies that phi is Gram-unitary, multiplicative and involution
@@ -747,7 +747,7 @@ def extend_isomorphism(phi: np.ndarray, a: FiniteHilbertAlgebra,
         "involution_residual": s_res,
         "transported_defect": moved.defect,
         "trace_residual": trace_res,
-        "pass": max(g_res, m_res, s_res, moved.defect, trace_res) <= tol,
+        "pass": max(g_res, m_res, s_res, moved.defect, trace_res) <= 1e-9,
     }
     return moved, report
 
@@ -783,6 +783,8 @@ def group_algebra(table: np.ndarray, name: str = "group") -> FiniteHilbertAlgebr
     n = table.shape[0]
     if table.shape != (n, n):
         raise ParseError("group table must be square")
+    if np.any((table < 0) | (table >= n)):
+        raise ParseError(f"group table entries must lie in [0, {n})")
     gate(n ** 3, f"structure tensor of a group of order {n}")
     if not (np.all(table[0] == np.arange(n)) and np.all(table[:, 0] == np.arange(n))):
         raise ParseError("index 0 must be the group identity")
@@ -822,7 +824,7 @@ def full_matrix_algebra(n: int) -> FiniteHilbertAlgebra:
 def example_algebra(kind: str, **params: Any) -> FiniteHilbertAlgebra:
     """Factory for the shipped examples.
 
-    kinds: 'full_matrix' (n), 'cyclic_group' (n), 's3', 'group' (table).
+    kinds: 'full_matrix' (n), 'cyclic_group' (n), 's3'.
     """
     if kind == "full_matrix":
         return full_matrix_algebra(int(params.get("n", 2)))
@@ -831,6 +833,4 @@ def example_algebra(kind: str, **params: Any) -> FiniteHilbertAlgebra:
         return group_algebra(_cyclic_table(n), name=f"c{n}")
     if kind == "s3":
         return group_algebra(_s3_table(), name="s3")
-    if kind == "group":
-        return group_algebra(np.asarray(params["table"]), name=params.get("name", "group"))
     raise InvalidArgument(f"unknown algebra kind {kind!r}")

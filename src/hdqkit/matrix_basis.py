@@ -159,6 +159,8 @@ def matrix_product_oracle(f: MatrixSymbol, g: MatrixSymbol) -> MatrixSymbol:
 
 def basis_unit(trunc: int, theta: float, m: int, n: int) -> MatrixSymbol:
     """The symbol of b_mn itself: a single unit coefficient."""
+    if not (0 <= m < trunc and 0 <= n < trunc):
+        raise SpecMismatch(f"b_{m},{n} lies outside truncation {trunc}")
     coeffs = np.zeros((trunc, trunc), dtype=complex)
     coeffs[m, n] = 1.0
     return MatrixSymbol(trunc, theta, coeffs)

@@ -30,7 +30,8 @@ from .errors import QuadratureError, ResourceError, SpecMismatch, gate
 
 Side = Literal["left", "right"]
 
-_PAIR_CHUNK = 64  # products per _fast_pairs_2d call, bounding its (pairs, M, M) blocks
+_PAIR_CHUNK = 64  # products per _fast_pairs_2d call (len(gs) if larger), bounding its blocks
+_CUTOFF = 1e-12  # split_pairs keeps singular values above this fraction of the largest
 
 # split_pairs probe schedule: widths 8, 32, 128, ... while the width is below
 # 1/16 of the M^2 x M^2 pair matrix's side, then a dense SVD.  At M = 32 a
@@ -208,6 +209,8 @@ def moyal_direct(f: GridFunction, g: GridFunction,
     for w, idx in enumerate(points):
         if len(idx) != 2 * n:
             raise SpecMismatch(f"point {idx} has wrong arity")
+        if not all(0 <= int(i) < spec.M for i in idx):
+            raise SpecMismatch(f"point {idx} lies outside the grid [0, {spec.M})")
         # align so row j of the rolled array is f(x0 + u_j) with u_j = -L + j h
         shift = tuple(spec.M // 2 - int(i) for i in idx)
         axes = tuple(range(2 * n))
@@ -236,10 +239,8 @@ def _dressing_phase(spec: GridSpec) -> np.ndarray:
     return np.exp(0.5j * spec.theta * np.outer(xq, xp))
 
 
-def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray,
-                   spec: GridSpec,
-                   pairs: Sequence[tuple[int, int]]) -> np.ndarray:
-    """Star products for selected (f, g) index pairs, n=1 mixed representation.
+def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray, spec: GridSpec) -> np.ndarray:
+    """Star products f_a * g_b for every (a, b), f-major, n=1 mixed representation.
 
     For each momentum mode j of f the product contributes
         f(q + (theta/2) xi_p(k), j-mode) * g(q - (theta/2) xi_p(j), k-mode)
@@ -249,11 +250,7 @@ def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray,
     m = spec.M
     alt = spec.alternating()
     ph = _dressing_phase(spec)
-    nf = fhats.shape[0]
-    ng = ghats.shape[0]
-    fi = np.array([p[0] for p in pairs])
-    gi = np.array([p[1] for p in pairs])
-    out = np.zeros((len(pairs), m, m), dtype=complex)
+    out = np.zeros((len(fhats) * len(ghats), m, m), dtype=complex)
     for j in range(m):
         # A[a, q, k] = f_a(q + (theta/2) xi_p(k), j-mode of p)
         seed = fhats[:, :, j][:, :, None] * ph[None, :, :]
@@ -261,7 +258,7 @@ def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray,
         # B[b, q, k] = g_b(q - (theta/2) xi_p(j), k-mode of p)
         dress = np.conj(ph[:, j])[None, :, None]
         b = m * np.fft.ifft(ghats * dress * alt[None, :, None], axis=1)
-        prod = a[fi] * b[gi]
+        prod = (a[:, None] * b[None]).reshape(out.shape)
         out += np.roll(prod, j, axis=2)
     # back to physical p
     return m * np.fft.ifft(out * alt[None, None, :], axis=2)
@@ -284,20 +281,21 @@ def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
     if spec.n == 1:
         fh = to_modes(f)[None, :, :]
         gh = to_modes(g)[None, :, :]
-        out = _fast_pairs_2d(fh, gh, spec, [(0, 0)])[0]
+        out = _fast_pairs_2d(fh, gh, spec)[0]
         return GridFunction(spec, out)
     if spec.n == 2:
         return _fast_4d(f, g)
     raise ResourceError("fast path supports n <= 2")
 
 
-def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction],
-                    pairs: Sequence[tuple[int, int]] | None = None
+def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction]
                     ) -> list[GridFunction]:
-    """Batched n=1 star products sharing the per-mode transforms.
+    """All n=1 star products fs[a] * gs[b], f-major, sharing the per-mode transforms.
 
-    Raises ResourceError when the len(pairs) products of M² entries each
-    exceed `errors.MAX_ENTRIES`.
+    Blocks of f rows go through the kernel together, each holding at most
+    max(_PAIR_CHUNK, len(gs)) products. Raises ResourceError before any
+    transform when the len(fs) len(gs) products of M² entries each exceed
+    `errors.MAX_ENTRIES`.
     """
     if not fs or not gs:
         return []
@@ -307,18 +305,15 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction],
             raise SpecMismatch("batched inputs must share one grid spec")
     if spec.n != 1:
         raise SpecMismatch("batched path only runs on n=1 grids")
-    if pairs is None:
-        if len(fs) != len(gs):
-            raise SpecMismatch("without explicit pairs, need equal-length lists")
-        pairs = [(i, i) for i in range(len(fs))]
-    gate(len(pairs) * spec.M ** 2, f"{len(pairs)} star products")
+    count = len(fs) * len(gs)
+    gate(count * spec.M ** 2, f"{count} star products")
     fhats = np.stack([to_modes(fn) for fn in fs])
     ghats = np.stack([to_modes(gn) for gn in gs])
+    rows = max(1, _PAIR_CHUNK // len(gs))
     results: list[GridFunction] = []
-    for lo in range(0, len(pairs), _PAIR_CHUNK):
-        sel = pairs[lo:lo + _PAIR_CHUNK]
-        block = _fast_pairs_2d(fhats, ghats, spec, sel)
-        results.extend(GridFunction(spec, block[i]) for i in range(len(sel)))
+    for lo in range(0, len(fs), rows):
+        block = _fast_pairs_2d(fhats[lo:lo + rows], ghats, spec)
+        results.extend(GridFunction(spec, prod) for prod in block)
     return results
 
 
@@ -328,13 +323,14 @@ def _pair_spec(spec: GridSpec, which: int) -> GridSpec:
                     theta=spec.theta)
 
 
-def split_pairs(f: GridFunction, cutoff: float = 1e-12
+def split_pairs(f: GridFunction
                 ) -> tuple[list[np.ndarray], list[np.ndarray], GridSpec, GridSpec]:
     """Singular value split of a 4-d function across its symplectic pairs.
 
     Returns factors u_r(q1, p1), v_r(q2, p2) with f = sum_r u_r x v_r, where
     u_r = s_r a_r and v_r = b_r^H for the singular triplets (s_r, a_r, b_r)
-    of the M^2 x M^2 pair matrix A[(q1, p1), (q2, p2)] with s_r > cutoff s_0.
+    of the M^2 x M^2 pair matrix A[(q1, p1), (q2, p2)] with s_r > _CUTOFF s_0
+    (1e-12 s_0).
 
     The triplets come from the adaptive randomized range finder of Halko,
     Martinsson & Tropp, "Finding structure with randomness" (SIAM Review 53,
@@ -342,9 +338,9 @@ def split_pairs(f: GridFunction, cutoff: float = 1e-12
     SVD.  Each step multiplies A by a complex Gaussian probe block of width k
     (drawn from a fixed seed, so a call is deterministic), orthonormalises
     the result to Q by QR and takes the small SVD of B = Q^H A.  The step is
-    accepted when the explicitly computed ||A - Q B||_F <= cutoff s_0.  Then
+    accepted when the explicitly computed ||A - Q B||_F <= _CUTOFF s_0.  Then
     every singular value of A that the span of Q misses is below the same
-    cutoff s_0 that truncates the result, and the triplets of B agree with
+    _CUTOFF s_0 that truncates the result, and the triplets of B agree with
     those of A to within it.  Otherwise k grows by _PROBE_GROWTH.  Once k
     reaches M^2 / _DENSE_SHARE a probe would cost a sizeable share of a
     dense SVD, so the last step is the dense SVD of A itself.
@@ -367,11 +363,11 @@ def split_pairs(f: GridFunction, cutoff: float = 1e-12
         ub, s, vh = np.linalg.svd(b, full_matrices=False)
         resid = q @ b
         resid -= mat
-        if np.linalg.norm(resid) <= cutoff * s[0]:
+        if np.linalg.norm(resid) <= _CUTOFF * s[0]:
             u = q @ ub
             break
         k *= _PROBE_GROWTH
-    keep = np.flatnonzero(s > cutoff * max(s[0], 1e-300))
+    keep = np.flatnonzero(s > _CUTOFF * max(s[0], 1e-300))
     left = [u[:, r].reshape(m, m) * s[r] for r in keep]
     right = [vh[r].reshape(m, m) for r in keep]
     return left, right, _pair_spec(spec, 0), _pair_spec(spec, 1)
@@ -382,16 +378,15 @@ def _fast_4d(f: GridFunction, g: GridFunction) -> GridFunction:
     m = spec.M
     fl, fr, spec1, spec2 = split_pairs(f)
     gl, gr, _, _ = split_pairs(g)
-    pairs = [(a, b) for a in range(len(fl)) for b in range(len(gl))]
     lf = [GridFunction(spec1, x) for x in fl]
     lg = [GridFunction(spec1, x) for x in gl]
     rf = [GridFunction(spec2, x) for x in fr]
     rg = [GridFunction(spec2, x) for x in gr]
-    prod1 = np.array([h.samples for h in moyal_fast_many(lf, lg, pairs)])
-    prod2 = np.array([h.samples for h in moyal_fast_many(rf, rg, pairs)])
+    prod1 = np.array([h.samples for h in moyal_fast_many(lf, lg)])
+    prod2 = np.array([h.samples for h in moyal_fast_many(rf, rg)])
     # one GEMM sums the pair tensor products into rows (q1, p1) and columns
     # (q2, p2); the (q1, q2, p1, p2) grid is a view of it
-    acc = prod1.reshape(len(pairs), m * m).T @ prod2.reshape(len(pairs), m * m)
+    acc = prod1.reshape(len(prod1), m * m).T @ prod2.reshape(len(prod2), m * m)
     return GridFunction(spec, acc.reshape(m, m, m, m).transpose(0, 2, 1, 3))
 
 

@@ -62,10 +62,10 @@ def window(spec: GridSpec) -> np.ndarray:
     return out
 
 
-def interior_mask(spec: GridSpec, frac: float = _MASK) -> np.ndarray:
+def interior_mask(spec: GridSpec) -> np.ndarray:
     out = np.ones(spec.shape, dtype=bool)
     for ax in range(2 * spec.n):
-        t = np.abs(spec.axis(ax)) <= frac * spec.L[ax]
+        t = np.abs(spec.axis(ax)) <= _MASK * spec.L[ax]
         out = out & t.reshape((-1,) + (1,) * (2 * spec.n - 1 - ax))
     return out
 
@@ -257,26 +257,26 @@ def plane_wave_bch(x0: Sequence[float], x1: Sequence[float], spec: GridSpec) -> 
     return BchResult(num / den, bch_phase(x0, x1, spec.theta))
 
 
-def star_exp_ode_check(x: Sequence[float], spec: GridSpec, t: float = 1.0,
-                       eps: float = 1e-4) -> float:
-    """Defining ODE of the plane-wave star-exponential at one parameter value.
+def star_exp_ode_check(x: Sequence[float], spec: GridSpec) -> float:
+    """Defining ODE of the plane-wave star-exponential at t = 1.
 
     E(t) = W_{t x} satisfies dE/dt = (i/theta) eta_x * E with the moment map
     eta_x(y) = w(x, y).  Both sides are applied to a Gaussian anchor: the
-    derivative by a central difference of exact translations, the right side
-    by an actual star product with the windowed moment map.
+    derivative by a central difference of exact translations with step 1e-4,
+    the right side by an actual star product with the windowed moment map.
     """
     x = np.asarray(x, dtype=float)
     anchor = _anchor(spec)
-    up = translation_multiplier((t + eps) * x, anchor, "left")
-    down = translation_multiplier((t - eps) * x, anchor, "left")
+    eps = 1e-4
+    up = translation_multiplier((1.0 + eps) * x, anchor, "left")
+    down = translation_multiplier((1.0 - eps) * x, anchor, "left")
     lhs = (up.samples - down.samples) / (2.0 * eps)
     n = spec.n
     eta = np.zeros(spec.shape, dtype=complex)
     for i in range(n):
         eta += x[i] * coordinate_function(spec, n + i).samples
         eta -= x[n + i] * coordinate_function(spec, i).samples
-    state = translation_multiplier(t * x, anchor, "left")
+    state = translation_multiplier(x, anchor, "left")
     rhs = 1j / spec.theta * moyal_fast(GridFunction(spec, eta), state).samples
     mask = interior_mask(spec)
     return _masked_rel(lhs - rhs, rhs, mask)

@@ -269,6 +269,12 @@ def test_product_associativity_exact(rng):
     assert np.max(np.abs(left.coeffs - right.coeffs)) < 1e-12 * np.max(np.abs(left.coeffs))
 
 
+def test_basis_unit_rejects_indices_outside_truncation():
+    for m, n in [(-1, 0), (4, 0), (0, -1), (0, 4)]:
+        with pytest.raises(SpecMismatch):
+            basis_unit(4, THETA, m, n)
+
+
 def test_product_shape_guard():
     with pytest.raises(SpecMismatch):
         matrix_product_oracle(basis_unit(4, THETA, 0, 0), basis_unit(5, THETA, 0, 0))

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdqkit import moyal
 from hdqkit.errors import QuadratureError, ResourceError, SpecMismatch
 from hdqkit.moyal import (
     GridFunction,
@@ -159,15 +160,15 @@ def test_spec_memory_gate():
 
 def test_pair_batch_memory_gate():
     # the n = 2 product sends all r_f r_g factor pairs here: two full-rank
-    # M = 32 grids give 1024² pairs, 2³⁰ entries of products per side. One
-    # pair above 2²⁶ / 32² is refused before any mode is transformed.
+    # M = 32 grids give 1024² pairs, 2³⁰ entries of products per side. A batch
+    # of 257 × 256 = 65,792 pairs, above 2²⁶ / 32² = 2¹⁶, is refused before
+    # any mode is transformed.
     spec = GridSpec(n=1, M=32, L=4.5 * np.sqrt(2.0), theta=2.0)
     h = GridFunction(spec, np.ones(spec.shape))
-    pairs = [(0, 0)] * ((1 << 16) + 1)
     tracemalloc.start()
     try:
         with pytest.raises(ResourceError):
-            moyal_fast_many([h], [h], pairs)
+            moyal_fast_many([h] * 257, [h] * 256)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -266,6 +267,15 @@ def test_direct_point_budget(spec64):
         moyal_direct(b00, b00, [(0, 0)] * 65)
 
 
+def test_direct_rejects_points_off_the_grid():
+    # both points would wrap onto (0, 3)
+    spec = GridSpec(n=1, M=16, L=4.0, theta=2.0)
+    b00 = closed_basis(spec, 0, 0)
+    for point in [(16, 3), (-16, 3)]:
+        with pytest.raises(SpecMismatch):
+            moyal_direct(b00, b00, [point])
+
+
 # ---------------------------------------------------------------------------
 # fast path
 # ---------------------------------------------------------------------------
@@ -321,18 +331,36 @@ def test_fast_associativity(spec64, rng):
 def test_fast_many_agrees_with_single(spec64, rng):
     fs = [random_schwartz(spec64, rng) for _ in range(3)]
     gs = [random_schwartz(spec64, rng) for _ in range(2)]
-    pairs = [(0, 0), (2, 1), (1, 0), (2, 0)]
-    batch = moyal_fast_many(fs, gs, pairs)
+    pairs = [(a, b) for a in range(3) for b in range(2)]
+    batch = moyal_fast_many(fs, gs)
+    assert len(batch) == len(pairs)
     for (a, b), got in zip(pairs, batch):
         want = moyal_fast(fs[a], gs[b])
         assert (got - want).norm < 1e-12 * max(want.norm, 1.0)
+
+
+def test_fast_many_across_chunks(rng, monkeypatch):
+    # 3 x 40 products in blocks of max(64, 40): one f row, so 3 kernel calls
+    spec = GridSpec(n=1, M=8, L=3.0, theta=2.0)
+    fs = [random_schwartz(spec, rng) for _ in range(3)]
+    gs = [random_schwartz(spec, rng) for _ in range(40)]
+    blocks = []
+    kernel = moyal._fast_pairs_2d
+    monkeypatch.setattr(moyal, "_fast_pairs_2d",
+                        lambda fh, gh, sp: blocks.append(len(fh) * len(gh)) or kernel(fh, gh, sp))
+    batch = moyal_fast_many(fs, gs)
+    monkeypatch.undo()
+    assert blocks == [40, 40, 40] and len(batch) == 120
+    for k, got in enumerate(batch):
+        want = moyal_fast(fs[k // 40], gs[k % 40])
+        assert (got - want).norm <= 1e-12 * want.norm
 
 
 def test_fast_many_rejects_mixed_specs(spec64, spec128):
     f = closed_basis(spec64, 0, 0)
     g = closed_basis(spec128, 0, 0)
     with pytest.raises(SpecMismatch):
-        moyal_fast_many([f], [g], [(0, 0)])
+        moyal_fast_many([f], [g])
 
 
 # ---------------------------------------------------------------------------
