@@ -6,20 +6,26 @@ W (gram = W†W), where adjoints are plain conjugate transposes and the
 antilinear involution acts as v -> C · conj(v) for a unitary C.
 
 Multiplier pairs, commutants and the center are nullspaces, all taken by one
-kernel, `_null_vectors`: the eigenvectors of a closed-form Hermitian normal
+kernel, `_null_rows`: the eigenvectors of a closed-form Hermitian normal
 matrix AᴴA (A itself is never built) with eigenvalue at most `_TOL` = 1e-10
 times max(top one, 1); `_TOL` is also every verifier's pass bound. The kernel
-computes only those eigenvectors and never reduces a normal matrix to
-tridiagonal form: it solves each exact diagonal block of the normal matrix's
-nonzero pattern on its own (the doubled-space generators diag(L, C⁻¹LC) split
-a commutant into four blocks), estimates the top eigenvalue by Lanczos, and
-finds the nullspace of each block by shifted inverse subspace iteration (one
-Cholesky factor) with a Rayleigh–Ritz step on a random block that grows until
-it holds the nullspace and a few spare directions. Normal equations square the condition number of the basis; see
-`solve_multipliers` for the supported range. `errors.gate` raises a
-ResourceError before a normal matrix, the solver's defect tensor, a tensor
-product or an example's structure tensor over `errors.MAX_ENTRIES` entries is
-built.
+takes the normal matrix as its exact diagonal blocks, each an operator that
+can be applied and solved with a shift, computes only the null eigenvectors
+and never reduces a block to tridiagonal form: it estimates the top
+eigenvalue by Lanczos and finds the nullspace of each block by shifted
+inverse subspace iteration (one Cholesky factor) with a Rayleigh–Ritz step on
+a random block that grows until it holds the nullspace and a few spare
+directions. No normal matrix is built larger than the blocks it factors:
+`commutant` assembles only the blocks that its generators' nonzero patterns
+allow (diag(L, C⁻¹LC) on the doubled space gives the four quadrants), and
+`solve_multipliers` applies and factors its normal through the Kronecker
+structure of the leading block. `_null_vectors` serves a dense normal (the
+center's, and the tests' oracles) by splitting its nonzero pattern. Normal
+equations square the condition number of the basis; see `solve_multipliers`
+for the supported range. `errors.gate` raises a ResourceError before a
+normal matrix over `errors.MAX_ENTRIES` entries would be needed, or the
+solver's defect tensor, a tensor product or an example's structure tensor
+over that size is built.
 
 Conventions
 -----------
@@ -33,10 +39,11 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Iterable, Literal
+from typing import Any, Callable, Iterable, Literal
 
 import numpy as np
 import scipy.linalg as sla
+from scipy.linalg import blas
 
 from .errors import (InvalidArgument, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
                      StructureError, gate)
@@ -298,8 +305,83 @@ def _components(normal: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def _top_eigenvalue(normal: np.ndarray) -> float:
-    """Largest eigenvalue of a Hermitian PSD matrix by Lanczos.
+class _DenseBlock:
+    """A dense Hermitian PSD block: applied by one GEMM, solved by Cholesky."""
+
+    def __init__(self, mat: np.ndarray) -> None:
+        self.mat = mat
+        self.size = mat.shape[0]
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        return self.mat @ v
+
+    def shifted_solver(self, cut: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Solve with mat + cut·I, factored once."""
+        # the block is Hermitian, so conj(mat)ᵀ is a Fortran-ordered copy LAPACK factors in place
+        shifted = np.conj(self.mat).T
+        shifted.flat[::self.size + 1] += cut
+        factor = sla.cho_factor(shifted, overwrite_a=True, check_finite=False)
+        return lambda v: sla.cho_solve(factor, v, check_finite=False)
+
+
+class _MultiplierNormal:
+    """The solver's normal [[kron(X, I), B], [Bᴴ, kron(Y, I)]], never formed.
+
+    X (p x p) and Y (q x q) are Hermitian PSD, B is (p d) x (q d) and I is the
+    d x d identity. The block is applied through X, Y and B. Its shifted
+    Cholesky factor is [[kron(L_X, I), 0], [Gᴴ, L_S]] with L_X = chol(X + cut·I),
+    G = kron(L_X⁻¹, I) B and L_S the factor of the (q d) x (q d) Schur
+    complement kron(Y + cut·I, I) - GᴴG (Golub & Van Loan, Matrix
+    Computations, §4.2): the factor of the dense matrix, in ≈ 0.8 (q d)³
+    complex multiply–adds for p = q instead of ≈ 2.7.
+    """
+
+    def __init__(self, x: np.ndarray, y: np.ndarray, b: np.ndarray, d: int) -> None:
+        self.x, self.y, self.b, self.d = x, y, b, d
+        self.top = len(x) * d  # rows of the kron(X, I) half
+        self.size = self.top + len(y) * d
+
+    def apply(self, v: np.ndarray) -> np.ndarray:
+        top, bot, cols = v[:self.top], v[self.top:], v.shape[1]
+        out = np.empty(v.shape, dtype=complex)
+        out[:self.top] = (self.x @ top.reshape(len(self.x), -1)).reshape(-1, cols)
+        out[:self.top] += self.b @ bot
+        out[self.top:] = (self.y @ bot.reshape(len(self.y), -1)).reshape(-1, cols)
+        out[self.top:] += (top.conj().T @ self.b).conj().T
+        return out
+
+    def shifted_solver(self, cut: float) -> Callable[[np.ndarray], np.ndarray]:
+        """Solve with block + cut·I through the block Cholesky factor."""
+        p, q, d, top = len(self.x), len(self.y), self.d, self.top
+        lx = sla.cholesky(self.x + cut * np.eye(p), lower=True, check_finite=False)
+        g = sla.solve_triangular(lx, self.b.reshape(p, -1), lower=True,
+                                 check_finite=False).reshape(top, -1)
+        # zherk on the Fortran-ordered view gᵀ computes gᵀ conj(g) without a copy;
+        # its transpose is GᴴG with the upper triangle filled, all chol reads
+        schur = np.kron(self.y + cut * np.eye(q), np.eye(d))
+        schur -= blas.zherk(1.0, g.T, lower=1).T
+        u = sla.cholesky(schur, lower=False, overwrite_a=True, check_finite=False)  # L_S = Uᴴ
+
+        def solve(v: np.ndarray) -> np.ndarray:
+            cols = v.shape[1]
+            z1 = sla.solve_triangular(lx, v[:top].reshape(p, -1), lower=True,
+                                      check_finite=False).reshape(top, cols)
+            z2 = sla.solve_triangular(u, v[top:] - (z1.conj().T @ g).conj().T,
+                                      trans="C", check_finite=False)
+            x2 = sla.solve_triangular(u, z2, check_finite=False)
+            x1 = sla.solve_triangular(lx, (z1 - g @ x2).reshape(p, -1), lower=True,
+                                      trans="C", check_finite=False).reshape(top, cols)
+            return np.concatenate([x1, x2])
+
+        return solve
+
+
+# a diagonal block of a normal matrix: `size`, `apply(v)`, `shifted_solver(cut)`
+_Block = _DenseBlock | _MultiplierNormal
+
+
+def _top_eigenvalue(block: _Block) -> float:
+    """Largest eigenvalue of a Hermitian PSD block by Lanczos.
 
     The start vector comes from a fixed seed, so the estimate is
     deterministic. Each new Krylov vector is orthogonalised twice against all
@@ -308,18 +390,18 @@ def _top_eigenvalue(normal: np.ndarray) -> float:
     ‖N y − θ y‖ = β |s_k| of the top Ritz pair (θ, y) is at most 1e-12 θ,
     which puts an eigenvalue within 1e-12 θ of θ (λ_max, unless the start
     vector is orthogonal to its eigenspace), or at step n, where it is exact.
-    A 1 × 1 matrix is its own eigenvalue.
+    A 1 × 1 block is its own eigenvalue.
     """
-    n = normal.shape[0]
+    n = block.size
     if n == 1:
-        return float(normal[0, 0].real)
+        return float(block.apply(np.ones((1, 1)))[0, 0].real)
     rng = np.random.default_rng(0)
     v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
     v /= np.linalg.norm(v)
     basis, alpha, beta = [], [], []
     for k in range(n):
         basis.append(v)
-        w = normal @ v
+        w = block.apply(v[:, None])[:, 0]
         alpha.append(np.vdot(v, w).real)
         q = np.array(basis)
         for _ in range(2):
@@ -334,68 +416,76 @@ def _top_eigenvalue(normal: np.ndarray) -> float:
     return 0.0  # n = 0
 
 
-def _block_null_vectors(blk: np.ndarray, cut: float) -> np.ndarray:
-    """Orthonormal columns spanning the eigenvectors of blk with eigenvalue <= cut.
+def _block_null_vectors(block: _Block, cut: float) -> np.ndarray:
+    """Orthonormal columns spanning the eigenvectors of a block with eigenvalue <= cut.
 
     Block inverse subspace iteration with a Rayleigh–Ritz step (Rutishauser,
     1970): a seeded complex Gaussian block of width `_START_WIDTH` takes two
-    solves with one Cholesky factor of blk + cut·I and then one QR, and the
-    Ritz vectors of the small projected matrix with Ritz value at most the cut
+    solves with one factor of block + cut·I and then one QR, and the Ritz
+    vectors of the small projected matrix with Ritz value at most the cut
     are kept. Without a QR between them the two solves amplify the block by
     at most cut⁻² ≤ 1e20, far from overflow. As in a randomized range
     finder, the width grows by `_GROWTH` until at least `_OVERSAMPLE` Ritz
     values lie above the cut, or reaches the block size, where the Ritz step
     is a full eigensolve. A 1 × 1 block is answered from its one entry.
     """
-    n = blk.shape[0]
+    n = block.size
     if n == 1:
-        return np.ones((1, 1 if blk[0, 0].real <= cut else 0), dtype=complex)
-    shifted = blk.copy()
-    shifted.flat[::n + 1] += cut
-    factor = sla.cho_factor(shifted, overwrite_a=True, check_finite=False)
+        entry = block.apply(np.ones((1, 1)))[0, 0].real
+        return np.ones((1, 1 if entry <= cut else 0), dtype=complex)
+    solve = block.shifted_solver(cut)
     rng = np.random.default_rng(0)
     width = min(n, _START_WIDTH)
     while True:
         v = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-        v = sla.cho_solve(factor, sla.cho_solve(factor, v, check_finite=False),
-                          check_finite=False)
-        v = np.linalg.qr(v)[0]
-        ritz, vecs = np.linalg.eigh(v.conj().T @ blk @ v)
+        v = np.linalg.qr(solve(solve(v)))[0]
+        ritz, vecs = np.linalg.eigh(v.conj().T @ block.apply(v))
         kept = ritz <= cut
         if width - np.count_nonzero(kept) >= _OVERSAMPLE or width == n:
             return v @ vecs[:, kept]
         width = min(n, _GROWTH * width)
 
 
-def _null_vectors(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the numerical nullspace of a PSD matrix.
+def _null_rows(blocks: list[tuple[_Block, np.ndarray]], n: int) -> np.ndarray:
+    """Orthonormal rows spanning the numerical nullspace of an n x n PSD matrix.
 
-    Keeps the eigenvectors with eigenvalue at most the cut `_TOL` max(λ_max,
-    1): eigenvalues are squared residuals, but the noise floor on true zeros
-    scales linearly with the top eigenvalue, so the cut does too.
-    Only the nullspace is computed, and no block is reduced to tridiagonal
-    form. The matrix is split into the exact diagonal blocks of its nonzero
-    pattern (`_components`), λ_max is the largest Lanczos estimate over the
-    blocks (`_top_eigenvalue`), and each block goes to `_block_null_vectors`.
-    By Cauchy interlacing every Ritz vector it keeps lies below the cut. Each
-    solve shrinks a component at eigenvalue μ by cut/(μ + cut) relative to
-    the null ones, under 1e-9 across the spectral gaps of the solver and
-    commutant normals, and the spare Ritz values above the cut keep the random
-    block wider than the nullspace, so no null direction is missed. Rows are
-    orthonormal to rounding, zero outside the block they come from, and
-    written into one array in block order.
+    The matrix is given by its exact diagonal blocks, each with the indices
+    it occupies, and every row is zero outside its block. Keeps the
+    eigenvectors with eigenvalue at most the cut `_TOL` max(λ_max, 1):
+    eigenvalues are squared residuals, but the noise floor on true zeros
+    scales linearly with the top eigenvalue, so the cut does too. λ_max is the
+    largest Lanczos estimate over the blocks (`_top_eigenvalue`), and each
+    block goes to `_block_null_vectors`. By Cauchy interlacing every Ritz
+    vector it keeps lies below the cut. Each solve shrinks a component at
+    eigenvalue μ by cut/(μ + cut) relative to the null ones, under 1e-9
+    across the spectral gaps of the solver and commutant normals, and the
+    spare Ritz values above the cut keep the random block wider than the
+    nullspace, so no null direction is missed. Rows are written into one
+    array in block order.
     """
-    comps = _components(normal)
-    # a one-component normal, as every Haar-rotated solver normal, is not copied
-    blocks = [normal] if len(comps) == 1 else [normal[np.ix_(idx, idx)] for idx in comps]
-    cut = _TOL * max(max((_top_eigenvalue(blk) for blk in blocks), default=0.0), 1.0)
-    vecs = [_block_null_vectors(blk, cut) for blk in blocks]
-    rows = np.zeros((sum(v.shape[1] for v in vecs), normal.shape[0]), dtype=complex)
+    cut = _TOL * max(max((_top_eigenvalue(blk) for blk, _ in blocks), default=0.0), 1.0)
+    vecs = [_block_null_vectors(blk, cut) for blk, _ in blocks]
+    rows = np.zeros((sum(v.shape[1] for v in vecs), n), dtype=complex)
     start = 0
-    for idx, v in zip(comps, vecs):
+    for (_, idx), v in zip(blocks, vecs):
         rows[start:start + v.shape[1], idx] = v.T
         start += v.shape[1]
     return rows
+
+
+def _null_vectors(normal: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the numerical nullspace of a dense PSD matrix.
+
+    The matrix is split into the exact diagonal blocks of its nonzero pattern
+    (`_components`), and the nullspace is taken as in `_null_rows`. Only the
+    nullspace is computed, and no block is reduced to tridiagonal form.
+    """
+    comps = _components(normal)
+    # a one-component normal is not copied
+    if len(comps) == 1:
+        return _null_rows([(_DenseBlock(normal), comps[0])], normal.shape[0])
+    return _null_rows([(_DenseBlock(normal[np.ix_(idx, idx)]), idx) for idx in comps],
+                      normal.shape[0])
 
 
 def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
@@ -410,14 +500,45 @@ def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
     return np.abs(resid).max(axis=(1, 2, 3), initial=0.0)
 
 
+def _multiplier_blocks(c: np.ndarray) -> list[tuple[_Block, np.ndarray]]:
+    """Exact diagonal blocks of the solver's normal matrix for frame constants c.
+
+    Unknown L[a, j] has index a d + j and R[b, i] index d² + b d + i. A zero
+    diagonal entry of a PSD matrix has a zero row, so when X[a, a] = 0
+    (Y[b, b] = 0) the unknowns L[a, ·] (R[b, ·]) are free, each its own 1 × 1
+    block; the rest is one `_MultiplierNormal`. X[a, a] = 0 for every a only
+    when c = 0, and then also Y = 0.
+    """
+    d = c.shape[0]
+    dd = d * d
+    cc = np.conj(c)
+    x = np.einsum("iak,ibk->ab", cc, c)
+    y = np.einsum("ajk,bjk->ab", cc, c)
+    # b[a, j, b, i] from the GEMM [(i, a), (b, j)] = sum_k conj(c[i, a, k]) c[b, j, k]
+    b = -(cc.reshape(dd, d) @ c.reshape(dd, d).T).reshape(d, d, d, d).transpose(1, 3, 2, 0)
+    la = np.flatnonzero(x.diagonal().real > 0)
+    ra = np.flatnonzero(y.diagonal().real > 0)
+    kept = np.concatenate([(la[:, None] * d + np.arange(d)).ravel(),
+                           dd + (ra[:, None] * d + np.arange(d)).ravel()])
+    zero = _DenseBlock(np.zeros((1, 1)))
+    blocks = [(zero, np.array([i])) for i in np.setdiff1d(np.arange(2 * dd), kept)]
+    if kept.size:
+        b = b[np.ix_(la, range(d), ra, range(d))].reshape(len(la) * d, len(ra) * d)
+        blocks.insert(0, (_MultiplierNormal(x[np.ix_(la, la)], y[np.ix_(ra, ra)], b, d), kept))
+    return blocks
+
+
 def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     """All pairs (L,R) with lam(x) L(y) = rho(y) R(x), as a nullspace.
 
-    The d³ x 2d² defect system is never built: its normal matrix is
-    [[kron(sum_i lam_iᴴ lam_i, I), B], [Bᴴ, kron(sum_j rho_jᴴ rho_j, I)]],
-    B[(a, j), (b, i)] = -sum_k conj(c[i, a, k]) c[b, j, k], from the structure
-    constants c in the orthonormal frame W. Its null vectors (L_W, R_W), with
-    eigenvalue at most `_TOL` times the top one, are orthonormal in that stacked
+    Neither the d³ x 2d² defect system nor its 2d² x 2d² normal matrix
+    [[kron(X, I), B], [Bᴴ, kron(Y, I)]] is built, with X = sum_i lam_iᴴ lam_i,
+    Y = sum_j rho_jᴴ rho_j and B[(a, j), (b, i)] = -sum_k conj(c[i, a, k])
+    c[b, j, k] from the structure constants c in the orthonormal frame W: the
+    kernel applies the normal through X, Y and B and solves with it through
+    a block Cholesky factor whose leading block is a Kronecker product
+    (`_MultiplierNormal`). Its null vectors (L_W, R_W), with eigenvalue at
+    most `_TOL` times the top one, are orthonormal in that stacked
     vectorization and are returned on coordinates as W⁻¹ L_W W, W⁻¹ R_W W.
 
     Normal equations square the condition number of a basis change q. For
@@ -425,22 +546,17 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     cond(q) = 1e4 and break at 1e5; defects relative to max|c| ‖L‖_F grow as
     cond(q)², up to 7e-12 at 1e3 and 4e-9 at 1e4. `verify_caract` passes
     through cond(q) = 1e2. `errors.gate` raises ResourceError when the
-    normal matrix, or the p x d x d x d defect residuals of the p pairs found,
-    would exceed `errors.MAX_ENTRIES`; a degenerate algebra has up to 2d² pairs.
+    normal matrix the solve stands for (4d⁴ entries, a bound on its three
+    d⁴ work arrays), or the p x d x d x d defect residuals of the p pairs
+    found, would exceed `errors.MAX_ENTRIES`; a degenerate algebra has up to
+    2d² pairs.
     """
     d = alg.dim
     dd = d * d
     gate((2 * dd) ** 2, f"solve_multipliers at d={d}")
     w = alg.frame()
     winv = np.linalg.inv(w)
-    c = change_basis(alg, winv).structure
-    cc, eye = np.conj(c), np.eye(d)
-    # b[(a, j), (b, i)] from the GEMM [(i, a), (b, j)] = sum_k conj(c[i, a, k]) c[b, j, k]
-    b = -(cc.reshape(dd, d) @ c.reshape(dd, d).T).reshape(d, d, d, d).transpose(1, 3, 2, 0)
-    b = b.reshape(dd, dd)
-    null = _null_vectors(np.block([
-        [np.kron(np.einsum("iak,ibk->ab", cc, c), eye), b],
-        [b.conj().T, np.kron(np.einsum("ajk,bjk->ab", cc, c), eye)]]))
+    null = _null_rows(_multiplier_blocks(change_basis(alg, winv).structure), 2 * dd)
     gate(len(null) * d ** 3, f"defects of {len(null)} multiplier pairs at d={d}")
 
     lefts = winv @ null[:, :dd].reshape(-1, d, d) @ w
@@ -460,39 +576,119 @@ def pair_adjoint(alg: FiniteHilbertAlgebra, pair: MultiplierPair) -> MultiplierP
     return MultiplierPair(adj(pair.left), adj(pair.right), pair.defect)
 
 
+def _commutant_blocks(gens: np.ndarray) -> list[tuple[_DenseBlock, np.ndarray]]:
+    """Exact diagonal blocks of the commutant normal of a ᴴ-closed (G, D, D) stack.
+
+    The normal couples X[a, b] to X[a', b'] through S[a, a'] δ(b, b'),
+    δ(a, a') S[b', b] and -2 sum_g g[a, a'] conj(g[b, b']) only. Ambient
+    indices whose rows have the same nonzero pattern in every generator and
+    in S form a part (the stack is ᴴ-closed, so rows also fix the column
+    pattern). Two part pairs (P, Q) and (P', Q') are joined when S[P, P'] is
+    nonzero and Q = Q', when S[Q', Q] is nonzero and P = P', or when one
+    generator is nonzero on both g[P, P'] and g[Q, Q']; the components of
+    that graph on part pairs are exact diagonal blocks of the normal. The
+    blocks are assembled directly into one buffer, with one GEMM over the
+    generators nonzero on g[P, P'] for all joined pairs that share (P, P') and
+    a shape, and each comes with the indices a D + b it occupies.
+    """
+    count, dd = gens.shape[:2]
+    stacked = gens.reshape(-1, dd)  # rows (g, k): s[a, b] = sum_g,k conj(g[k, a]) g[k, b]
+    s = stacked.conj().T @ stacked
+    pattern = np.concatenate([gens != 0, (s != 0)[None]])
+    sig = np.packbits(pattern.transpose(1, 0, 2).reshape(dd, -1), axis=1)  # row patterns
+    label = np.unique(sig.view(np.dtype((np.void, sig.shape[1]))).reshape(-1),
+                      return_inverse=True)[1].reshape(-1)
+    p = int(label.max()) + 1
+    onehot = np.zeros((dd, p))
+    onehot[np.arange(dd), label] = 1.0
+    touch = onehot.T @ pattern @ onehot > 0  # touch[g, i, k]: g nonzero on (P_i, P_k)
+    gen_touch, s_touch = touch[:-1], touch[-1]
+    # adj[(i, j), (k, l)] from the GEMM [(i, k), (j, l)] = #g touching both blocks
+    flat = gen_touch.reshape(count, p * p).astype(float)
+    adj = (flat.T @ flat).reshape(p, p, p, p).transpose(0, 2, 1, 3).reshape(p * p, p * p)
+    adj += np.kron(s_touch, np.eye(p)) + np.kron(np.eye(p), s_touch)
+
+    size = np.bincount(label)
+    member = np.zeros((p, size.max(initial=0)), dtype=int)  # member[i, :size[i]] = P_i
+    for i in range(p):
+        member[i, :size[i]] = np.flatnonzero(label == i)
+
+    # part pairs in block order; each block is packed row-major into one buffer
+    comps = _components(adj)
+    node = np.concatenate(comps)
+    comp = np.repeat(np.arange(len(comps)), [len(c) for c in comps])
+    part_i, part_j = np.divmod(node, p)
+    rows = size[part_i] * size[part_j]
+    first = np.cumsum(rows) - rows  # first row of each part pair, blocks concatenated
+    side = np.bincount(comp, weights=rows).astype(int)
+    local = first - (np.cumsum(side) - side)[comp]  # ... and within its block
+    packed = np.cumsum(side * side) - side * side
+    buf = np.zeros(int((side * side).sum()), dtype=complex)
+    order = np.empty(p * p, dtype=int)
+    order[node] = np.arange(len(node))
+    r, t = np.nonzero(adj)  # joined pairs of part pairs, always within one block
+    r, t = order[r], order[t]
+    i, j, k, l = part_i[r], part_j[r], part_i[t], part_j[t]
+    # one GEMM per left sub-block (P_i, P_k) and right shape, over the generators
+    # nonzero on it: sub[e] = -2 sum_g g[P_i, P_k] ⊗ conj(g[P_j, P_l])
+    base = size.max() + 1  # part sizes as digits of a sort key
+    key = ((i * p + k) * base + size[j]) * base + size[l]
+    by_key = np.argsort(key, kind="stable")
+    cuts = np.flatnonzero(np.diff(key[by_key])) + 1
+    for e in np.split(by_key, cuts) if len(key) else []:
+        gi, gk, sj, sl = i[e[0]], k[e[0]], size[j[e[0]]], size[l[e[0]]]
+        si, sk = size[gi], size[gk]
+        pi, pk = member[gi, :si], member[gk, :sk]
+        pj, pl = member[j[e], :sj], member[l[e], :sl]
+        use = np.flatnonzero(gen_touch[:, gi, gk])
+        left = gens[use[:, None, None], pi[:, None], pk].reshape(len(use), si * sk)
+        right = gens[use[:, None, None, None], pj[:, :, None], pl[:, None, :]].conj()
+        sub = left.T @ right.reshape(len(use), len(e) * sj * sl)  # no rows when S alone joins
+        sub = sub.reshape(si, sk, len(e), sj, sl)
+        sub *= -2.0  # sub[a, a', e, b, b']
+        if sj == sl:  # S[a, a'] δ(b, b') where j = l, on a diagonal view
+            np.einsum("acebb->eacb", sub)[j[e] == l[e]] += s[pi[:, None], pk][:, :, None]
+        if gi == gk:  # δ(a, a') S[b', b]
+            np.einsum("aaebd->eabd", sub)[...] += s[pl[:, None, :], pj[:, :, None]][:, None]
+        c = comp[r[e]]
+        # buf index of sub[a, a', e, b, b'] = row (a, b), column (a', b') of block c
+        at = packed[c] + local[r[e]] * side[c] + local[t[e]]
+        row = np.arange(si)[:, None, None, None, None] * sj + np.arange(sj)[:, None]
+        col = np.arange(sk)[:, None, None, None] * sl + np.arange(sl)
+        buf[at[:, None, None] + side[c][:, None, None] * row + col] = sub
+
+    # ambient index a D + b of every row, part pair by part pair
+    idx = np.empty(dd * dd, dtype=int)
+    key = size[part_i] * base + size[part_j]
+    for si, sj in zip(*np.divmod(np.unique(key), base)):
+        v = np.flatnonzero(key == si * base + sj)
+        idx[first[v][:, None] + np.arange(si * sj)] = (
+            member[part_i[v], :si, None] * dd + member[part_j[v], None, :sj]).reshape(len(v), -1)
+    bounds = np.concatenate([[0], np.cumsum(side)])
+    return [(_DenseBlock(buf[packed[c]:packed[c] + n * n].reshape(n, n)),
+             idx[bounds[c]:bounds[c + 1]]) for c, n in enumerate(side)]
+
+
 def commutant(generators: Iterable[np.ndarray], ambient_dim: int) -> OperatorSubspace:
     """Commutant of a set of matrices (adjoints are adjoined first).
 
     Matrices must be expressed in an orthonormal frame for the adjoint to
     coincide with the conjugate transpose. Over the ᴴ-closed set G the
     normal matrix of gX = Xg is kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g,
-    conj(g)) with S = sum_g gᴴg; the cut and the gate are as in
-    solve_multipliers.
-    X[a, b] couples to X[a', b'] only through g[a, a'], g[b, b'], S[a, a']
-    and S[b', b], all zero across the blocks of block-diagonal generators, so
-    those split the solve exactly: for diag(L, C⁻¹LC) on the doubled space
-    the four quadrants of X are four independent d² x d² problems, and each
-    basis element returned lies in one quadrant.
+    conj(g)) with S = sum_g gᴴg; the cut is as in solve_multipliers, and
+    `errors.gate` raises ResourceError when that normal matrix would exceed
+    `errors.MAX_ENTRIES`. It is never built whole: the nonzero patterns of
+    the generators give its exact diagonal blocks (`_commutant_blocks`),
+    and only those are assembled and solved. For diag(L, C⁻¹LC) on the
+    doubled space the four quadrants of X are four independent d² x d²
+    problems, and each basis element returned lies in one quadrant.
     """
     dd = ambient_dim
     n = dd * dd
     gate(n * n, f"commutant at ambient dimension {dd}")
     gens = np.asarray(list(generators), dtype=complex).reshape(-1, dd, dd)
     gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
-    flat = gens.reshape(-1, n)
-    stacked = gens.reshape(-1, dd)  # rows (g, k): s[a, b] = sum_g,k conj(g[k, a]) g[k, b]
-    s = stacked.conj().T @ stacked
-    # (flat.T @ conj(flat))[(a, a'), (b, b')] = sum_g g[a, a'] conj(g[b, b'])
-    normal = (flat.T @ flat.conj()).reshape(dd, dd, dd, dd).transpose(0, 2, 1, 3).reshape(n, n)
-    normal *= -2.0
-    # kron(S, I) + kron(I, Sᵀ) through writeable diagonal views of normal[a, b, a', b']
-    normal4 = normal.reshape(dd, dd, dd, dd)
-    s_term = np.einsum("abcb->acb", normal4)  # S[a, a'] where b = b'
-    s_term += s[:, :, None]
-    st_term = np.einsum("abad->abd", normal4)  # S[b', b] where a = a'
-    st_term += s.T[None]
-    basis = _null_vectors(normal).reshape(-1, dd, dd)
-    return OperatorSubspace(dd, basis)
+    return OperatorSubspace(dd, _null_rows(_commutant_blocks(gens), n).reshape(-1, dd, dd))
 
 
 # ---------------------------------------------------------------------------

@@ -30,7 +30,7 @@ from .errors import QuadratureError, ResourceError, SpecMismatch, gate
 
 Side = Literal["left", "right"]
 
-_PAIR_CHUNK = 64  # products per _fast_pairs_2d call (len(gs) if larger), bounding its blocks
+_PAIR_CHUNK = 64  # products per block of f rows in _fast_pairs_2d (len(gs) if larger)
 _CUTOFF = 1e-12  # split_pairs keeps singular values above this fraction of the largest
 
 # split_pairs probe schedule: widths 8, 32, 128, ... while the width is below
@@ -239,29 +239,41 @@ def _dressing_phase(spec: GridSpec) -> np.ndarray:
     return np.exp(0.5j * spec.theta * np.outer(xq, xp))
 
 
+def _f_step(fhats: np.ndarray, j: int, ph: np.ndarray, alt: np.ndarray) -> np.ndarray:
+    """A[a, q, k] = f_a(q + (theta/2) xi_p(k), j-mode of p): momentum step j of f."""
+    return len(alt) * np.fft.ifft(fhats[:, :, j][:, :, None] * ph[None] * alt[None, :, None],
+                                  axis=1)
+
+
 def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray, spec: GridSpec) -> np.ndarray:
     """Star products f_a * g_b for every (a, b), f-major, n=1 mixed representation.
 
     For each momentum mode j of f the product contributes
         f(q + (theta/2) xi_p(k), j-mode) * g(q - (theta/2) xi_p(j), k-mode)
     into the output momentum mode j+k; the q-shifts are exact torus shifts
-    applied as phases on the q-modes.
+    applied as phases on the q-modes. Each step's g-side transform is taken
+    once and applied to blocks of f rows, each block holding at most
+    max(_PAIR_CHUNK, len(ghats)) products.
     """
     m = spec.M
     alt = spec.alternating()
     ph = _dressing_phase(spec)
-    out = np.zeros((len(fhats) * len(ghats), m, m), dtype=complex)
+    count = len(ghats)
+    rows = max(1, _PAIR_CHUNK // count)
+    out = np.zeros((len(fhats) * count, m, m), dtype=complex)
     for j in range(m):
-        # A[a, q, k] = f_a(q + (theta/2) xi_p(k), j-mode of p)
-        seed = fhats[:, :, j][:, :, None] * ph[None, :, :]
-        a = m * np.fft.ifft(seed * alt[None, :, None], axis=1)
         # B[b, q, k] = g_b(q - (theta/2) xi_p(j), k-mode of p)
         dress = np.conj(ph[:, j])[None, :, None]
         b = m * np.fft.ifft(ghats * dress * alt[None, :, None], axis=1)
-        prod = (a[:, None] * b[None]).reshape(out.shape)
-        out += np.roll(prod, j, axis=2)
-    # back to physical p
-    return m * np.fft.ifft(out * alt[None, None, :], axis=2)
+        for lo in range(0, len(fhats), rows):
+            a = _f_step(fhats[lo:lo + rows], j, ph, alt)
+            prod = (a[:, None] * b[None]).reshape(-1, m, m)
+            out[lo * count:lo * count + len(prod)] += np.roll(prod, j, axis=2)
+    # back to physical p, block by block
+    for lo in range(0, len(out), rows * count):
+        block = out[lo:lo + rows * count]
+        block[...] = m * np.fft.ifft(block * alt[None, None, :], axis=2)
+    return out
 
 
 def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
@@ -292,10 +304,8 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction]
                     ) -> list[GridFunction]:
     """All n=1 star products fs[a] * gs[b], f-major, sharing the per-mode transforms.
 
-    Blocks of f rows go through the kernel together, each holding at most
-    max(_PAIR_CHUNK, len(gs)) products. Raises ResourceError before any
-    transform when the len(fs) len(gs) products of M² entries each exceed
-    `errors.MAX_ENTRIES`.
+    Raises ResourceError before any transform when the len(fs) len(gs)
+    products of M² entries each exceed `errors.MAX_ENTRIES`.
     """
     if not fs or not gs:
         return []
@@ -309,12 +319,7 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction]
     gate(count * spec.M ** 2, f"{count} star products")
     fhats = np.stack([to_modes(fn) for fn in fs])
     ghats = np.stack([to_modes(gn) for gn in gs])
-    rows = max(1, _PAIR_CHUNK // len(gs))
-    results: list[GridFunction] = []
-    for lo in range(0, len(fs), rows):
-        block = _fast_pairs_2d(fhats[lo:lo + rows], ghats, spec)
-        results.extend(GridFunction(spec, prod) for prod in block)
-    return results
+    return [GridFunction(spec, prod) for prod in _fast_pairs_2d(fhats, ghats, spec)]
 
 
 def _pair_spec(spec: GridSpec, which: int) -> GridSpec:
@@ -338,7 +343,10 @@ def split_pairs(f: GridFunction
     SVD.  Each step multiplies A by a complex Gaussian probe block of width k
     (drawn from a fixed seed, so a call is deterministic), orthonormalises
     the result to Q by QR and takes the small SVD of B = Q^H A.  The step is
-    accepted when the explicitly computed ||A - Q B||_F <= _CUTOFF s_0.  Then
+    accepted when the explicitly computed ||A - Q B||_F <= _CUTOFF s_0.  A is
+    read from the (q1, q2, p1, p2) samples one q1 row block (for A probe) or
+    one q2 column block (for B and the residual) at a time, so neither A nor
+    the residual is ever held whole outside the dense SVD.  Then
     every singular value of A that the span of Q misses is below the same
     _CUTOFF s_0 that truncates the result, and the triplets of B agree with
     those of A to within it.  Otherwise k grows by _PROBE_GROWTH.  Once k
@@ -350,20 +358,29 @@ def split_pairs(f: GridFunction
         raise SpecMismatch("pair split needs a 4-d grid")
     m = spec.M
     size = m * m
-    mat = f.samples.transpose(0, 2, 1, 3).reshape(size, size)
+    x = f.samples  # x[q1, q2, p1, p2] = A[(q1, p1), (q2, p2)]
     rng = np.random.default_rng(0)
     k = _PROBE_START
     while True:
         if k >= size // _DENSE_SHARE:
-            u, s, vh = np.linalg.svd(mat, full_matrices=False)
+            u, s, vh = np.linalg.svd(x.transpose(0, 2, 1, 3).reshape(size, size),
+                                     full_matrices=False)
             break
         probe = rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k))
-        q, _ = np.linalg.qr(mat @ probe)
-        b = q.conj().T @ mat
+        q, _ = np.linalg.qr(np.concatenate([x[q1].transpose(1, 0, 2).reshape(m, size) @ probe
+                                            for q1 in range(m)]))
+        qh = q.conj().T
+        b = np.empty((q.shape[1], size), dtype=complex)
+        resid = 0.0
+        for q2 in range(m):
+            cols = x[:, q2].reshape(size, m)
+            block = b[:, q2 * m:(q2 + 1) * m]
+            np.matmul(qh, cols, out=block)
+            diff = q @ block
+            diff -= cols
+            resid += np.vdot(diff, diff).real
         ub, s, vh = np.linalg.svd(b, full_matrices=False)
-        resid = q @ b
-        resid -= mat
-        if np.linalg.norm(resid) <= _CUTOFF * s[0]:
+        if np.sqrt(resid) <= _CUTOFF * s[0]:
             u = q @ ub
             break
         k *= _PROBE_GROWTH

@@ -98,6 +98,90 @@ def haar_unitary(rng: np.random.Generator, d: int) -> np.ndarray:
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
+def frame_structure(alg: hilbert.FiniteHilbertAlgebra) -> np.ndarray:
+    """Structure constants in the orthonormal frame W (gram = W†W)."""
+    return hilbert.change_basis(alg, np.linalg.inv(alg.frame())).structure
+
+
+def dense_solver_normal(c: np.ndarray) -> np.ndarray:
+    """The solver's 2d² x 2d² normal matrix [[kron(X, I), B], [Bᴴ, kron(Y, I)]]
+    for frame structure constants c, built dense: the oracle of the structured
+    operator `solve_multipliers` applies and factors."""
+    d = c.shape[0]
+    dd = d * d
+    cc, eye = np.conj(c), np.eye(d)
+    b = -(cc.reshape(dd, d) @ c.reshape(dd, d).T).reshape(d, d, d, d).transpose(1, 3, 2, 0)
+    b = b.reshape(dd, dd)
+    return np.block([
+        [np.kron(np.einsum("iak,ibk->ab", cc, c), eye), b],
+        [b.conj().T, np.kron(np.einsum("ajk,bjk->ab", cc, c), eye)]])
+
+
+def dense_commutant_normal(mats, dim: int) -> np.ndarray:
+    """The commutant's D² x D² normal kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g,
+    conj(g)) over the ᴴ-closed set, built dense: the oracle of the blocks that
+    `commutant` assembles."""
+    n = dim * dim
+    gens = np.asarray(list(mats), dtype=complex).reshape(-1, dim, dim)
+    gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
+    flat = gens.reshape(-1, n)
+    stacked = gens.reshape(-1, dim)
+    s = stacked.conj().T @ stacked
+    # (flat.T @ conj(flat))[(a, a'), (b, b')] = sum_g g[a, a'] conj(g[b, b'])
+    normal = -2.0 * (flat.T @ flat.conj()).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
+    normal = normal.reshape(n, n)
+    normal4 = normal.reshape(dim, dim, dim, dim)
+    np.einsum("abcb->acb", normal4)[...] += s[:, :, None]  # S[a, a'] where b = b'
+    np.einsum("abad->abd", normal4)[...] += s.T[None]  # S[b', b] where a = a'
+    return normal
+
+
+def row_span_distance(a: np.ndarray, b: np.ndarray) -> float:
+    """Largest residual of a row of one orthonormal set projected onto the other."""
+    def resid(x, y):
+        return np.linalg.norm(x - (x @ y.conj().T) @ y, axis=1).max(initial=0.0)
+    return float(max(resid(a, b), resid(b, a)))
+
+
+def oracle_algebra(name: str, rotated: bool) -> hilbert.FiniteHilbertAlgebra:
+    """mat3, m2+m3, Cl(4), s3 or zero algebras, optionally in a Haar basis."""
+    if name == "cl4":
+        alg = clifford.as_hilbert_algebra(2)
+    elif name.startswith("zero"):
+        # zero4: the all-zero algebra of dimension 4; zero1+m2: a zero direct summand
+        zero = np.zeros((4,) * 3 if name == "zero4" else (1, 1, 1), dtype=complex)
+        alg = hilbert.FiniteHilbertAlgebra(zero, np.eye(len(zero)), np.eye(len(zero)), name="zero")
+        if name == "zero1+m2":
+            alg = hilbert.combine(alg, named_algebra("mat2"), mode="direct_sum")
+    elif "+" in name:
+        a, b = name.split("+")
+        alg = hilbert.combine(named_algebra(a.replace("m", "mat")),
+                              named_algebra(b.replace("m", "mat")), mode="direct_sum")
+    else:
+        alg = named_algebra(name)
+    if rotated:
+        alg = hilbert.change_basis(alg, haar_unitary(np.random.default_rng(5), alg.dim))
+    return alg
+
+
+def doubled_left_regulars(alg: hilbert.FiniteHilbertAlgebra) -> np.ndarray:
+    """diag(L, C⁻¹LC) for the left regular maps, as `verify_caract` embeds them."""
+    w, winv, cmat = hilbert._frame_conjugation(alg)
+    return hilbert._embed_left(w @ alg.structure.transpose(0, 2, 1) @ winv, cmat)
+
+
+def assert_exact_blocks(blocks, normal: np.ndarray) -> None:
+    """Each block equals its part of the dense normal, and nothing lies outside."""
+    n = normal.shape[0]
+    scale = max(1.0, float(np.abs(normal).max()))
+    covered = np.zeros((n, n), dtype=bool)
+    for blk, idx in blocks:
+        assert np.abs(blk.apply(np.eye(blk.size)) - normal[np.ix_(idx, idx)]).max() <= 1e-14 * scale
+        covered[np.ix_(idx, idx)] = True
+    assert sorted(np.concatenate([idx for _, idx in blocks])) == list(range(n))
+    assert not normal[~covered].any()
+
+
 def s3_conjugacy_class_count() -> int:
     table = hilbert._s3_table()
     n = table.shape[0]
@@ -327,6 +411,27 @@ def test_solver_gates_normal_matrix_size():
             hilbert.FiniteHilbertAlgebra(zero, zero[0], zero[0], name="zero"))
 
 
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("name", ["s3", "mat3", "m2+m3", "cl4", "zero4", "zero1+m2"])
+def test_structured_solver_matches_dense_oracle(name, rotated):
+    # the operator and its blocks are the dense normal, and the structured
+    # shifted-Cholesky kernel finds the dense kernel's nullspace; rotated
+    # zero1+m2 has a singular X with no zero on its diagonal
+    alg = oracle_algebra(name, rotated)
+    c = frame_structure(alg)
+    normal = dense_solver_normal(c)
+    blocks = hilbert._multiplier_blocks(c)
+    assert_exact_blocks(blocks, normal)
+    rows = hilbert._null_rows(blocks, len(normal))
+    want = hilbert._null_vectors(normal)
+    assert rows.shape == want.shape
+    assert np.abs(rows @ rows.conj().T - np.eye(len(rows))).max(initial=0.0) <= 1e-13
+    assert row_span_distance(rows, want) <= 1e-13
+    assert len(hilbert.solve_multipliers(alg)) == len(want)
+    if name == "zero4":
+        assert len(want) == 2 * 4 * 4  # every (L, R) pair
+
+
 def test_solver_gates_defect_tensor_size():
     # the all-zero d = 33 algebra has 2 * 33² = 2178 pairs, whose defect
     # residuals need 2178 * 33³ ~ 7.8e7 entries (1.25 GB per temporary); the
@@ -464,7 +569,9 @@ def test_null_vectors_match_eigh_across_block_widths(null, data):
 
 def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
     # the nullspace kernel only eigensolves Rayleigh–Ritz matrices; here every
-    # block stops by width 32, against solver and commutant blocks of 512 and 169
+    # block stops by width 32, against the structured solver block of 512 and
+    # commutant blocks of 169 (quadrants) and 338 (the bicommutant's diagonal
+    # quadrants, which the embedded algebra couples)
     sizes = []
 
     def recording(solver):
@@ -478,14 +585,14 @@ def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
     blocks = []
     kernel = hilbert._block_null_vectors
     monkeypatch.setattr(hilbert, "_block_null_vectors",
-                        lambda blk, cut: blocks.append(len(blk)) or kernel(blk, cut))
+                        lambda blk, cut: blocks.append(blk.size) or kernel(blk, cut))
     rng = np.random.default_rng(11)
     mat4 = named_algebra("mat4")
     pairs = hilbert.solve_multipliers(hilbert.change_basis(mat4, haar_unitary(rng, 16)))
     assert len(pairs) == 16
     m2m3 = hilbert.combine(named_algebra("mat2"), named_algebra("mat3"), mode="direct_sum")
     assert hilbert.verify_caract(hilbert.change_basis(m2m3, haar_unitary(rng, 13)))["pass"]
-    assert max(blocks) == 512 and min(blocks) >= 169
+    assert sorted(set(blocks)) == [169, 338, 512]
     assert sizes and max(sizes) <= hilbert._START_WIDTH * hilbert._GROWTH
 
 
@@ -500,22 +607,18 @@ def test_null_vectors_edge_cases():
 
 @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e5])
 @pytest.mark.parametrize("name", ["s3", "mat2", "c3"])
-def test_top_eigenvalue_on_solver_normals(name, cond, monkeypatch):
+def test_top_eigenvalue_on_solver_normals(name, cond):
     # at cond(q) <= 1e2 these normals have three eigenvalue clusters, so the
     # Krylov space runs out after about three Lanczos steps; measured worst
     # relative error 2.4e-13 (s3 at 1e2)
-    normals = []
-    kernel = hilbert._null_vectors
-    monkeypatch.setattr(hilbert, "_null_vectors",
-                        lambda normal: normals.append(normal) or kernel(normal))
     base = named_algebra(name)
     d = base.dim
     o, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(d, d)))
-    hilbert.solve_multipliers(hilbert.change_basis(
+    c = frame_structure(hilbert.change_basis(
         base, o @ np.diag(np.logspace(0.0, np.log10(cond), d)) @ o.T))
-    (normal,) = normals
-    want = np.linalg.eigvalsh(normal)[-1]
-    assert abs(hilbert._top_eigenvalue(normal) - want) <= 1e-10 * want
+    (block, _), = hilbert._multiplier_blocks(c)
+    want = np.linalg.eigvalsh(dense_solver_normal(c))[-1]
+    assert abs(hilbert._top_eigenvalue(block) - want) <= 1e-10 * want
 
 
 def test_operator_subspace_matches_loop_oracles(rng):
@@ -599,6 +702,49 @@ def test_commutant_basis_is_orthonormal(m2):
     sub = hilbert.commutant(lam, 4)
     gram = np.array([[np.vdot(a, b) for b in sub.basis] for a in sub.basis])
     assert np.abs(gram - np.eye(sub.dim)).max() <= 1e-12
+
+
+def check_commutant_against_oracle(gens, dim: int) -> tuple[hilbert.OperatorSubspace, int]:
+    """Block-first commutant against the nullspace of the dense normal; returns
+    the commutant and its block count, never more than the oracle's components."""
+    gens = np.asarray(gens, dtype=complex).reshape(-1, dim, dim)
+    normal = dense_commutant_normal(gens, dim)
+    blocks = hilbert._commutant_blocks(np.concatenate([gens, gens.conj().transpose(0, 2, 1)]))
+    assert_exact_blocks(blocks, normal)
+    assert len(blocks) <= len(hilbert._components(normal))
+    sub = hilbert.commutant(gens, dim)
+    want = hilbert.OperatorSubspace(dim, hilbert._null_vectors(normal).reshape(-1, dim, dim))
+    assert sub.dim == want.dim
+    assert sub.equals(want) <= 1e-13
+    return sub, len(blocks)
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("name", ["mat3", "m2+m3", "cl4"])
+def test_commutant_blocks_match_dense_oracle(name, rotated):
+    # first commutant and bicommutant of the doubled-space left regulars; in a
+    # Haar basis the quadrants are the blocks, and the bicommutant joins two
+    alg = oracle_algebra(name, rotated)
+    d = alg.dim
+    first, first_blocks = check_commutant_against_oracle(doubled_left_regulars(alg), 2 * d)
+    second, second_blocks = check_commutant_against_oracle(first.basis, 2 * d)
+    assert (first.dim, second.dim) == (4 * d, d)
+    if rotated:
+        assert (first_blocks, second_blocks) == (4, 3)
+
+
+def test_commutant_of_random_and_no_generators_matches_dense_oracle(rng):
+    gens = rng.normal(size=(2, 5, 5)) + 1j * rng.normal(size=(2, 5, 5))
+    assert check_commutant_against_oracle(gens, 5)[0].dim == 1
+    # one random generator commuting with a random 2 x 2 block structure
+    u = haar_unitary(rng, 6)
+    gens = u @ np.kron(rng.normal(size=(2, 3, 3)), np.eye(2)) @ u.conj().T
+    assert check_commutant_against_oracle(gens, 6)[0].dim == 4
+    sub, blocks = check_commutant_against_oracle([], 3)
+    assert (sub.dim, blocks) == (9, 1)
+    # ragged sparse patterns: some part pairs are joined through S alone
+    mask = rng.random(size=(3, 6, 6)) < 0.3
+    check_commutant_against_oracle(mask * (rng.normal(size=(3, 6, 6)) + 1j), 6)
 
 
 # ---------------------------------------------------------------------------

@@ -340,17 +340,18 @@ def test_fast_many_agrees_with_single(spec64, rng):
 
 
 def test_fast_many_across_chunks(rng, monkeypatch):
-    # 3 x 40 products in blocks of max(64, 40): one f row, so 3 kernel calls
+    # 3 x 40 products in blocks of max(64, 40): one f row, so at each of the
+    # M = 8 momentum steps the f side is transformed in 3 blocks
     spec = GridSpec(n=1, M=8, L=3.0, theta=2.0)
     fs = [random_schwartz(spec, rng) for _ in range(3)]
     gs = [random_schwartz(spec, rng) for _ in range(40)]
     blocks = []
-    kernel = moyal._fast_pairs_2d
-    monkeypatch.setattr(moyal, "_fast_pairs_2d",
-                        lambda fh, gh, sp: blocks.append(len(fh) * len(gh)) or kernel(fh, gh, sp))
+    kernel = moyal._f_step
+    monkeypatch.setattr(moyal, "_f_step",
+                        lambda fh, j, ph, alt: blocks.append(len(fh)) or kernel(fh, j, ph, alt))
     batch = moyal_fast_many(fs, gs)
     monkeypatch.undo()
-    assert blocks == [40, 40, 40] and len(batch) == 120
+    assert blocks == [1, 1, 1] * spec.M and len(batch) == 120
     for k, got in enumerate(batch):
         want = moyal_fast(fs[k // 40], gs[k % 40])
         assert (got - want).norm <= 1e-12 * want.norm
