@@ -149,7 +149,7 @@ class CliffordElement:
         return CliffordElement(self.m, scalar * self.coeffs)
 
 
-def blade(m: int, mask: int = 0) -> CliffordElement:
+def blade(m: int, mask: int) -> CliffordElement:
     d = 1 << (2 * m)
     gate(d, f"blade of Cl({2 * m})")
     if not 0 <= mask < d:

@@ -10,7 +10,9 @@ and b_mn = conj(b_nm) below the diagonal.  The conjugate variable q - i p
 in the raising direction is forced by the star-product kernel orientation:
 (q - i p) * b_00 = 0, so q - i p plays the annihilator role and b_mn acts
 like |m><n|.  Normalization: <b_mn, b_kl> = 2 pi theta d_mk d_nl and the
-integral of b_mm is 2 pi theta.
+integral of b_mm is 2 pi theta.  So transform is the Weyl map W written in
+the oscillator basis, and test_star_matrix_functoriality checks
+W(f * g) = W(f) W(g).
 
 The basis is sampled in factored form (the Hermite-Gaussian/Laguerre-
 Gaussian identity, Beijersbergen et al., Opt. Commun. 96, 1993):

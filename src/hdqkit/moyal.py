@@ -2,10 +2,12 @@
 
 Functions live on the torus [-L, L)^{2n} with M points per axis, axes ordered
 (q_1 .. q_n, p_1 .. p_n) and the symplectic form w(x, y) = q_x . p_y - p_x . q_y.
-Two product paths are provided: a spot-point quadrature of the oscillatory
-double integral with kernel exp(-(2i/theta) w(u, v)), and a full-grid fast
-path that decomposes one factor into plane waves and applies the exact
-translation-multiplier law mode by mode.
+Two product paths are provided: moyal_direct, a spot-point quadrature of the
+oscillatory double integral with kernel exp(-(2i/theta) w(u, v)) that serves
+as the oracle, and moyal_fast, the canonical full-grid path, which decomposes
+one factor into plane waves and applies the exact translation-multiplier law
+mode by mode.  The operator model of the algebra is matrix_basis, where
+b_mn acts as |m><n| and the star product is the matrix product.
 
 Mode convention: f(x) = sum_k c_k exp(i xi_k x) per axis with
 xi_k = (pi/L) k for the integer k of fftfreq, and c_k = (-1)^k fft(f)_k / M.
@@ -95,10 +97,6 @@ class GridSpec:
         """(-1)^k in fftfreq ordering (M even, so wrap-safe)."""
         k = np.fft.fftfreq(self.M, d=1.0 / self.M).astype(int)
         return np.where(k & 1, -1.0, 1.0)
-
-
-def default_spec(theta: float = 2.0, M: int = 128, n: int = 1) -> GridSpec:
-    return GridSpec(n=n, M=M, L=6.0 * np.sqrt(theta), theta=theta)
 
 
 @dataclass
@@ -479,75 +477,3 @@ def admissible_translations(spec: GridSpec) -> np.ndarray:
         out[n + i] = np.pi * spec.theta / spec.L[i]
     return out
 
-
-# ---------------------------------------------------------------------------
-# Weyl quantization
-# ---------------------------------------------------------------------------
-
-@dataclass
-class WeylOperator:
-    """Integral kernel K(q0, q1) of the quantized operator on L^2(R)."""
-
-    m_q: int
-    l_q: float
-    theta: float
-    kernel: np.ndarray
-
-    def __post_init__(self) -> None:
-        self.kernel = np.asarray(self.kernel, dtype=complex)
-        if self.kernel.shape != (self.m_q, self.m_q):
-            raise SpecMismatch("kernel must be square over the q-grid")
-
-    @property
-    def h_q(self) -> float:
-        return 2.0 * self.l_q / self.m_q
-
-    @property
-    def hs_norm(self) -> float:
-        return float(self.h_q * np.linalg.norm(self.kernel))
-
-    def compose(self, other: "WeylOperator") -> "WeylOperator":
-        if (self.m_q, self.l_q) != (other.m_q, other.l_q):
-            raise SpecMismatch("operator grids differ")
-        return WeylOperator(self.m_q, self.l_q, self.theta,
-                            self.h_q * self.kernel @ other.kernel)
-
-    def adjoint(self) -> "WeylOperator":
-        return WeylOperator(self.m_q, self.l_q, self.theta,
-                            self.kernel.conj().T)
-
-
-def _halfgrid_interpolate(samples: np.ndarray) -> np.ndarray:
-    """Band-limited refinement of axis 0 onto the half-step grid (2M rows)."""
-    m = samples.shape[0]
-    spec_modes = np.fft.fftshift(np.fft.fft(samples, axis=0), axes=0)
-    pad = np.zeros((2 * m,) + samples.shape[1:], dtype=complex)
-    pad[m // 2: m // 2 + m] = spec_modes
-    return 2.0 * np.fft.ifft(np.fft.ifftshift(pad, axes=0), axis=0)
-
-
-def weyl_quantize(f: GridFunction) -> WeylOperator:
-    """K(q0, q1) = (2 pi theta)^{-1} integral f((q0+q1)/2, p) e^{(i/theta)(q1-q0) p} dp.
-
-    The phase and prefactor are pinned by the product convention: with
-    [q, p]_* = -i theta this kernel sends 1 to the identity, q to the
-    multiplication operator and p to i theta d/dq, which is what makes
-    composition of kernels track the star product.  The midpoint samples
-    come from spectral interpolation onto the half-step q-grid, the
-    p-integral from one dense contraction.
-    """
-    spec = f.spec
-    if spec.n != 1:
-        raise SpecMismatch("operator kernels are built for n=1 grids")
-    m = spec.M
-    th = spec.theta
-    hq, hp = spec.h
-    half = _halfgrid_interpolate(f.samples)  # axis 0 now has 2M rows
-    deltas = hq * np.arange(-(m - 1), m)     # q1 - q0 values
-    ep = np.exp(1j / th * np.outer(spec.axis(1), deltas))
-    table = half @ ep                        # [q-midpoint row, delta]
-    i = np.arange(m)
-    rows = i[:, None] + i[None, :]           # q0 + q1 in half-steps
-    cols = i[None, :] - i[:, None] + (m - 1)
-    kernel = hp / (2.0 * np.pi * th) * table[rows, cols]
-    return WeylOperator(m, spec.L[0], th, kernel)

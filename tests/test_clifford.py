@@ -77,10 +77,17 @@ def test_sign_table_matches_blade_product(m):
     assert np.array_equal(table, want)
 
 
+@pytest.fixture(scope="module")
+def sign_table_m6():
+    # built once, outside the hypothesis deadline: a cold 4096² build takes
+    # about 70 ms of the 200 ms that one example may take
+    return clifford._sign_table(6)
+
+
 @given(st.integers(0, 4095), st.integers(0, 4095))
 @settings(max_examples=200)
-def test_sign_table_matches_blade_product_at_m6(i, j):
-    assert clifford._sign_table(6)[i, j] == clifford.blade_product(i, j, 6)[0]
+def test_sign_table_matches_blade_product_at_m6(sign_table_m6, i, j):
+    assert sign_table_m6[i, j] == clifford.blade_product(i, j, 6)[0]
 
 
 def test_generator_relations():
@@ -300,7 +307,7 @@ def test_dense_product_is_associative_at_m6(seed):
 
 
 @pytest.mark.parametrize("build", [lambda: clifford._sign_table(7),
-                                   lambda: clifford.blade(14),
+                                   lambda: clifford.blade(14, 0),
                                    lambda: clifford._matrix_model(13)],
                          ids=["sign_table", "blade", "matrix_model"])
 def test_allocations_are_gated(build):

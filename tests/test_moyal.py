@@ -1,8 +1,7 @@
-"""Star product, symplectic Fourier, translations, Weyl kernels.
+"""Star product, symplectic Fourier, translations.
 
 The oracles here are deliberately primitive: closed-form Gaussians sampled
-straight from their formulas, an unfactored double-sum quadrature, and
-analytic operator kernels obtained by hand-evaluating the p-integral.
+straight from their formulas and an unfactored double-sum quadrature.
 """
 
 import tracemalloc
@@ -18,7 +17,6 @@ from hdqkit.moyal import (
     GridFunction,
     GridSpec,
     admissible_translations,
-    default_spec,
     from_modes,
     integrate,
     moyal_direct,
@@ -28,7 +26,6 @@ from hdqkit.moyal import (
     symplectic_fourier,
     to_modes,
     translation_multiplier,
-    weyl_quantize,
 )
 
 TWO_PI_THETA = 2.0 * np.pi * 2.0
@@ -98,38 +95,14 @@ def random_schwartz(spec, rng, deg=2):
     return GridFunction(spec, out * np.exp(-r2 / spec.theta))
 
 
-def weyl_kernel_b00_oracle(spec):
-    """K(q0, q1) for b00 with the p-integral done in closed form.
-
-    (2 pi th)^{-1} * 2 * e^{-mid^2/th} * sqrt(pi th) e^{-d^2/(4 th)}
-    collapses to the separable rank-one projector onto the width-sqrt(th)
-    Gaussian: (pi th)^{-1/2} e^{-(q0^2 + q1^2)/(2 th)}.
-    """
-    th = spec.theta
-    q = spec.axis(0)
-    return np.exp(-(q[:, None] ** 2 + q[None, :] ** 2) / (2.0 * th)) / np.sqrt(np.pi * th)
-
-
-def weyl_kernel_zgauss_oracle(spec):
-    """Same closed-form treatment for f = (q + i p) exp(-r^2/theta).
-
-    The odd p-moment pulls down i * (i delta / 2) = -delta/2, and
-    mid - delta/2 = q0, so K = q0 / (2 sqrt(pi th)) e^{-(q0^2+q1^2)/(2 th)}.
-    """
-    th = spec.theta
-    q = spec.axis(0)
-    gauss = np.exp(-(q[:, None] ** 2 + q[None, :] ** 2) / (2.0 * th))
-    return q[:, None] / (2.0 * np.sqrt(np.pi * th)) * gauss
-
-
 @pytest.fixture(scope="module")
 def spec128():
-    return default_spec(theta=2.0, M=128)
+    return GridSpec(M=128, theta=2.0)
 
 
 @pytest.fixture(scope="module")
 def spec64():
-    return default_spec(theta=2.0, M=64)
+    return GridSpec(M=64, theta=2.0)
 
 
 def rel(err, ref):
@@ -176,7 +149,7 @@ def test_pair_batch_memory_gate():
 
 
 def test_default_spec_box():
-    spec = default_spec(theta=2.0)
+    spec = GridSpec(theta=2.0)
     assert spec.L == (6.0 * np.sqrt(2.0),) * 2
     assert spec.h[0] == pytest.approx(12.0 * np.sqrt(2.0) / 128)
 
@@ -470,67 +443,6 @@ def test_translation_checks_arity(spec64):
         translation_multiplier((1.0,), closed_basis(spec64, 0, 0), "left")
     with pytest.raises(SpecMismatch):
         translation_multiplier((0.0, 0.0), closed_basis(spec64, 0, 0), "sideways")
-
-
-# ---------------------------------------------------------------------------
-# Weyl quantization
-# ---------------------------------------------------------------------------
-
-def test_weyl_kernel_ground_state(spec128):
-    op = weyl_quantize(closed_basis(spec128, 0, 0))
-    want = weyl_kernel_b00_oracle(spec128)
-    assert np.max(np.abs(op.kernel - want)) < 1e-6
-
-
-def test_weyl_kernel_linear_symbol(spec128):
-    th = spec128.theta
-    q = spec128.axis(0)[:, None]
-    p = spec128.axis(1)[None, :]
-    f = GridFunction(spec128, (q + 1j * p) * np.exp(-(q * q + p * p) / th))
-    op = weyl_quantize(f)
-    want = weyl_kernel_zgauss_oracle(spec128)
-    assert np.max(np.abs(op.kernel - want)) < 1e-6
-
-
-def test_weyl_homomorphism(spec128):
-    b01 = closed_basis(spec128, 0, 1)
-    b10 = closed_basis(spec128, 1, 0)
-    lhs = weyl_quantize(moyal_fast(b01, b10))
-    rhs = weyl_quantize(b01).compose(weyl_quantize(b10))
-    diff = lhs.h_q * np.linalg.norm(lhs.kernel - rhs.kernel)
-    assert diff / max(lhs.hs_norm, 1e-300) < 1e-3
-
-
-def test_weyl_star_property(spec64, rng):
-    f = random_schwartz(spec64, rng)
-    lhs = weyl_quantize(f.conj()).kernel
-    rhs = weyl_quantize(f).adjoint().kernel
-    assert np.max(np.abs(lhs - rhs)) < 1e-10
-
-
-def test_weyl_ground_state_rank_one(spec128):
-    op = weyl_quantize(closed_basis(spec128, 0, 0))
-    s = np.linalg.svd(op.kernel, compute_uv=False)
-    assert s[1] / s[0] < 1e-3
-
-
-def test_weyl_isometry_constant(spec128, rng):
-    ratios = []
-    for _ in range(10):
-        f = random_schwartz(spec128, rng)
-        ratios.append(weyl_quantize(f).hs_norm / f.norm)
-    ratios = np.array(ratios)
-    spread = (ratios.max() - ratios.min()) / ratios.mean()
-    assert spread < 1e-4
-    # the measured constant is reported, never asserted against a formula
-    print(f"measured Weyl isometry ratio: {ratios.mean():.12f}")
-
-
-def test_weyl_rejects_two_pairs():
-    spec = GridSpec(n=2, M=16, L=5.0, theta=2.0)
-    f = GridFunction(spec, np.zeros(spec.shape))
-    with pytest.raises(SpecMismatch):
-        weyl_quantize(f)
 
 
 # ---------------------------------------------------------------------------
