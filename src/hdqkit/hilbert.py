@@ -18,14 +18,15 @@ a random block that grows until it holds the nullspace and a few spare
 directions. No normal matrix is built larger than the blocks it factors:
 `commutant` assembles only the blocks that its generators' nonzero patterns
 allow (diag(L, C⁻¹LC) on the doubled space gives the four quadrants), and
-`solve_multipliers` applies and factors its normal through the Kronecker
-structure of the leading block. `_null_vectors` serves a dense normal (the
-center's, and the tests' oracles) by splitting its nonzero pattern. Normal
-equations square the condition number of the basis; see `solve_multipliers`
-for the supported range. `errors.gate` raises a ResourceError before a
-normal matrix over `errors.MAX_ENTRIES` entries would be needed, or the
-solver's defect tensor, a tensor product or an example's structure tensor
-over that size is built.
+`solve_multipliers` splits its normal by its exact nonzero pattern into one
+block, applied and factored through its Kronecker structure, or several
+(a group, Clifford or matrix algebra on its natural basis), each assembled
+dense. `_null_vectors` serves a dense normal (the center's, and the tests'
+oracles) by the same split (`_components`). Normal equations square the
+condition number of the basis; see `solve_multipliers` for the supported
+range. `errors.gate` raises a ResourceError before a normal matrix over
+`errors.MAX_ENTRIES` entries would be needed, or the solver's defect tensor,
+a tensor product or an example's structure tensor over that size is built.
 
 Conventions
 -----------
@@ -503,11 +504,13 @@ def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
 def _multiplier_blocks(c: np.ndarray) -> list[tuple[_Block, np.ndarray]]:
     """Exact diagonal blocks of the solver's normal matrix for frame constants c.
 
-    Unknown L[a, j] has index a d + j and R[b, i] index d² + b d + i. A zero
-    diagonal entry of a PSD matrix has a zero row, so when X[a, a] = 0
-    (Y[b, b] = 0) the unknowns L[a, ·] (R[b, ·]) are free, each its own 1 × 1
-    block; the rest is one `_MultiplierNormal`. X[a, a] = 0 for every a only
-    when c = 0, and then also Y = 0.
+    Unknown L[a, j] has index a d + j and R[b, i] index d² + b d + i. The
+    blocks are the components (`_components`) of the normal's exact nonzero
+    pattern [[kron(X ≠ 0, I), B ≠ 0], [(B ≠ 0)ᵀ, kron(Y ≠ 0, I)]]. A single
+    component, as in every Haar-rotated algebra, is one `_MultiplierNormal`;
+    otherwise each component is one `_DenseBlock` taken from X, Y and B. A
+    free unknown, such as L[a, ·] when X[a, a] = 0, is an isolated 1 × 1
+    block. Twisted group algebras split into d blocks of 2d (Cl(6): 64 of 128).
     """
     d = c.shape[0]
     dd = d * d
@@ -516,15 +519,19 @@ def _multiplier_blocks(c: np.ndarray) -> list[tuple[_Block, np.ndarray]]:
     y = np.einsum("ajk,bjk->ab", cc, c)
     # b[a, j, b, i] from the GEMM [(i, a), (b, j)] = sum_k conj(c[i, a, k]) c[b, j, k]
     b = -(cc.reshape(dd, d) @ c.reshape(dd, d).T).reshape(d, d, d, d).transpose(1, 3, 2, 0)
-    la = np.flatnonzero(x.diagonal().real > 0)
-    ra = np.flatnonzero(y.diagonal().real > 0)
-    kept = np.concatenate([(la[:, None] * d + np.arange(d)).ravel(),
-                           dd + (ra[:, None] * d + np.arange(d)).ravel()])
-    zero = _DenseBlock(np.zeros((1, 1)))
-    blocks = [(zero, np.array([i])) for i in np.setdiff1d(np.arange(2 * dd), kept)]
-    if kept.size:
-        b = b[np.ix_(la, range(d), ra, range(d))].reshape(len(la) * d, len(ra) * d)
-        blocks.insert(0, (_MultiplierNormal(x[np.ix_(la, la)], y[np.ix_(ra, ra)], b, d), kept))
+    b = b.reshape(dd, dd)
+    eye, nz = np.eye(d, dtype=bool), b != 0
+    comps = _components(np.block([[np.kron(x != 0, eye), nz], [nz.T, np.kron(y != 0, eye)]]))
+    if len(comps) == 1:
+        return [(_MultiplierNormal(x, y, b, d), comps[0])]
+    blocks = []
+    for idx in comps:
+        top, bot = idx[idx < dd], idx[idx >= dd] - dd
+        (la, j), (ra, i) = np.divmod(top, d), np.divmod(bot, d)
+        lr = b[np.ix_(top, bot)]
+        blocks.append((_DenseBlock(np.block([[x[np.ix_(la, la)] * (j[:, None] == j), lr],
+                                             [lr.conj().T, y[np.ix_(ra, ra)] * (i[:, None] == i)]])),
+                       idx))
     return blocks
 
 
@@ -534,22 +541,26 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     Neither the d³ x 2d² defect system nor its 2d² x 2d² normal matrix
     [[kron(X, I), B], [Bᴴ, kron(Y, I)]] is built, with X = sum_i lam_iᴴ lam_i,
     Y = sum_j rho_jᴴ rho_j and B[(a, j), (b, i)] = -sum_k conj(c[i, a, k])
-    c[b, j, k] from the structure constants c in the orthonormal frame W: the
-    kernel applies the normal through X, Y and B and solves with it through
-    a block Cholesky factor whose leading block is a Kronecker product
-    (`_MultiplierNormal`). Its null vectors (L_W, R_W), with eigenvalue at
-    most `_TOL` times the top one, are orthonormal in that stacked
-    vectorization and are returned on coordinates as W⁻¹ L_W W, W⁻¹ R_W W.
+    c[b, j, k] from the structure constants c in the orthonormal frame W.
+    The normal is split into the exact blocks of its nonzero pattern
+    (`_multiplier_blocks`). One block, as in any algebra in a generic basis,
+    is applied through X, Y and B and solved through a block Cholesky factor
+    whose leading block is a Kronecker product (`_MultiplierNormal`). Several
+    blocks, as in a group or Clifford algebra on its group basis or a matrix
+    algebra on matrix units, are each assembled dense. The null vectors
+    (L_W, R_W), with eigenvalue at most `_TOL` times the top one, are
+    orthonormal in that stacked vectorization and are returned on coordinates
+    as W⁻¹ L_W W, W⁻¹ R_W W.
 
     Normal equations square the condition number of a basis change q. For
     q = O diag(logspace) Oᵀ on s3, mat2 and c3, pair counts are right through
     cond(q) = 1e4 and break at 1e5; defects relative to max|c| ‖L‖_F grow as
     cond(q)², up to 7e-12 at 1e3 and 4e-9 at 1e4. `verify_caract` passes
     through cond(q) = 1e2. `errors.gate` raises ResourceError when the
-    normal matrix the solve stands for (4d⁴ entries, a bound on its three
-    d⁴ work arrays), or the p x d x d x d defect residuals of the p pairs
-    found, would exceed `errors.MAX_ENTRIES`; a degenerate algebra has up to
-    2d² pairs.
+    normal matrix the solve stands for (4d⁴ entries, a bound on its d⁴ work
+    arrays and its 4d⁴ boolean pattern), or the p x d x d x d defect
+    residuals of the p pairs found, would exceed `errors.MAX_ENTRIES`; a
+    degenerate algebra has up to 2d² pairs.
     """
     d = alg.dim
     dd = d * d

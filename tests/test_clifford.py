@@ -174,57 +174,19 @@ def test_structure_theorems_for_cl2():
     assert hilbert.natural_trace_check(alg)["pass"]
 
 
-@pytest.mark.parametrize("m,route", [(1, "dense"), (2, "dense"),
-                                     (3, "structural"), (4, "structural")])
-def test_unital_multiplier_collapse(m, route):
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_unital_multiplier_collapse(m):
     report = clifford.verify_unital_multipliers(m)
-    assert report["route"] == route
     assert report["dimension"] == 4 ** m
     assert report["pass"], report
+    # measured 5.6e-17, 1.8e-16, 7.0e-16; at m = 3 the solve is 64 blocks of 128
+    assert report["rebuild_residual"] <= 2e-15
 
 
 def test_unital_verification_rank_cap():
-    with pytest.raises(SpecMismatch):
-        clifford.verify_unital_multipliers(5)
-
-
-def test_regular_pair_is_a_multiplier(rng):
-    x = clifford.CliffordElement(1, rng.normal(size=4) + 1j * rng.normal(size=4))
-    pair = clifford.regular_pair(x)
-    alg = clifford.as_hilbert_algebra(1)
-    lam = [hilbert.regular_representation(alg, np.eye(4)[i], "left") for i in range(4)]
-    rho = [hilbert.regular_representation(alg, np.eye(4)[j], "right") for j in range(4)]
-    worst = 0.0
-    for i in range(4):
-        for j in range(4):
-            lhs = lam[i] @ (pair.left @ np.eye(4)[j])
-            rhs = rho[j] @ (pair.right @ np.eye(4)[i])
-            worst = max(worst, np.abs(lhs - rhs).max())
-    assert worst <= 1e-12
-
-
-@pytest.mark.parametrize("m", [1, 2, 3])
-def test_regular_pair_matches_dense_export_exactly(m, rng):
-    d = 4 ** m
-    x = clifford.CliffordElement(m, rng.normal(size=d) + 1j * rng.normal(size=d))
-    pair = clifford.regular_pair(x)
-    alg = clifford.as_hilbert_algebra(m)
-    assert np.array_equal(pair.left, hilbert.regular_representation(alg, x.coeffs, "left"))
-    assert np.array_equal(pair.right, hilbert.regular_representation(alg, x.coeffs, "right"))
-
-
-def test_regular_pair_needs_no_dense_export(rng):
-    # two 256 x 256 complex outputs are 2.1 MB; the dense export peaks at 273 MB
-    x = dense_element(rng, 4)
-    clifford._sign_table.cache_clear()
-    tracemalloc.start()
-    try:
-        pair = clifford.regular_pair(x)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert pair.left.shape == pair.right.shape == (256, 256)
-    assert peak < 8 << 20
+    for m in (4, 5):
+        with pytest.raises(SpecMismatch):
+            clifford.verify_unital_multipliers(m)
 
 
 # ---------------------------------------------------------------------------
