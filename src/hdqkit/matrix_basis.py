@@ -25,6 +25,15 @@ Risbo 1996) N |m, N-m> = sqrt(m) A^+ |m-1, N-m> + sqrt(N-m) B^+ |m, N-m-1>
 builds it.  TruncationError means that the grid does not resolve the basis:
 psi_0 .. psi_{2 trunc - 2} sampled on an axis are not orthonormal to
 _GRAM_TOL, as they reach the box edge or outrun the spacing.
+
+A transform is two grid products with the real Hermite table and one
+contraction of each degree N's anti-diagonal with B_N.  The M x M side of
+the grid products is one real GEMM on the interleaved float view of the
+complex samples (a real matrix times complex data needs no complex
+arithmetic); the small side, S x M by M x S with S = 2 trunc - 1, stays
+complex.  S is odd, so B_N and B_{S-1-N} fill one (S + 1) x (S + 1)
+block-diagonal slot and the middle block sits alone; all slots are
+contracted by one batched matmul between one gather and one scatter.
 """
 
 from __future__ import annotations
@@ -82,13 +91,22 @@ def _compatible(a: MatrixSymbol, b: MatrixSymbol) -> None:
 class BasisCache:
     """b_mn for m, n < trunc on one grid, in the factored form of the module docstring.
 
-    table holds psi_0 .. psi_{2 trunc - 2} on the q and p axes; blocks[N] is B_N.
+    table holds psi_0 .. psi_{S - 1}, S = 2 trunc - 1, on the q and p axes.
+    The blocks B_N, N < S, are packed in pairs (as in Gustavson et al.'s
+    Rectangular Full Packed format, ACM TOMS 37, 2010): slot j holds B_j and
+    B_{S-1-j}, of sizes j + 1 and S - j, block-diagonally in one
+    (S + 1) x (S + 1) matrix, and the middle block B_{trunc-1} sits alone
+    in the last slot with zeros after it.  index[j] lists, in the slot's row
+    order, the flat positions k S + N - k of anti-diagonal N of an S x S
+    matrix; the padding of the last slot points at position S * S, one past
+    the matrix, which transform keeps as a zero scratch entry.
     """
 
     spec: GridSpec
     trunc: int
-    table: np.ndarray  # (2, M, 2 trunc - 1), real
-    blocks: list[np.ndarray]  # blocks[N]: (N + 1, N + 1)
+    table: np.ndarray  # (2, M, S), real
+    packed: np.ndarray  # (trunc, S + 1, S + 1), complex
+    index: np.ndarray  # (trunc, S + 1), int
 
 
 def synthesize_basis(spec: GridSpec, trunc: int) -> BasisCache:
@@ -98,7 +116,8 @@ def synthesize_basis(spec: GridSpec, trunc: int) -> BasisCache:
     if trunc < 1:
         raise SpecMismatch("truncation must be at least 1")
     count = 2 * trunc - 1
-    gate(2 * spec.M * count + count ** 3 // 3, f"matrix basis at truncation {trunc}")
+    gate(2 * spec.M * count + trunc * (count + 1) ** 2,
+         f"matrix basis at truncation {trunc}")
     scale = np.sqrt(2.0 / spec.theta)
     s = scale * np.stack([spec.axis(0), spec.axis(1)])
     psi = np.zeros((count, 2, spec.M))  # three-term recurrence; psi[-1] is zero at k = 1
@@ -111,16 +130,24 @@ def synthesize_basis(spec: GridSpec, trunc: int) -> BasisCache:
     if err > _GRAM_TOL:
         raise TruncationError(f"grid does not resolve truncation {trunc}: "
                               f"Hermite Gram error {err:.1e}")
-    blocks = [np.full((1, 1), 2.0 * np.sqrt(np.pi), dtype=complex)]
-    for big_n in range(1, count):  # the two-term step of the module docstring
-        root = np.sqrt(np.arange(big_n + 1))  # sqrt(k); reversed, sqrt(N - k)
-        # a_q^+ and a_p^+ on the columns |j, N-1-j> of B_{N-1}
-        up_q = root[:, None] * np.pad(blocks[-1], ((1, 0), (0, 0)))
-        up_p = root[::-1, None] * np.pad(blocks[-1], ((0, 1), (0, 0)))
-        block = (root * np.pad(up_q + 1j * up_p, ((0, 0), (1, 0)))
-                 + root[::-1] * np.pad(up_q - 1j * up_p, ((0, 0), (0, 1))))
-        blocks.append(block / (np.sqrt(2.0) * big_n))
-    return BasisCache(spec, trunc, table, blocks)
+    packed = np.zeros((trunc, count + 1, count + 1), dtype=complex)
+    index = np.full((trunc, count + 1), count * count)
+    block = np.full((1, 1), 2.0 * np.sqrt(np.pi), dtype=complex)
+    for big_n in range(count):
+        if big_n:  # the two-term step of the module docstring
+            root = np.sqrt(np.arange(big_n + 1))  # sqrt(k); reversed, sqrt(N - k)
+            # a_q^+ and a_p^+ on the columns |j, N-1-j> of B_{N-1}
+            up_q = root[:, None] * np.pad(block, ((1, 0), (0, 0)))
+            up_p = root[::-1, None] * np.pad(block, ((0, 1), (0, 0)))
+            block = (root * np.pad(up_q + 1j * up_p, ((0, 0), (1, 0)))
+                     + root[::-1] * np.pad(up_q - 1j * up_p, ((0, 0), (0, 1))))
+            block /= np.sqrt(2.0) * big_n
+        slot, at = (big_n, 0) if big_n < trunc else (count - 1 - big_n, count - big_n)
+        rows = slice(at, at + big_n + 1)
+        packed[slot, rows, rows] = block
+        k = np.arange(big_n + 1)
+        index[slot, rows] = k * count + big_n - k
+    return BasisCache(spec, trunc, table, packed, index)
 
 
 def transform(obj: GridFunction | MatrixSymbol, cache: BasisCache
@@ -130,27 +157,32 @@ def transform(obj: GridFunction | MatrixSymbol, cache: BasisCache
     forward:  f_mn = (2 pi theta)^{-1} integral f b_nm
     backward: f = sum f_mn b_mn
     The direction follows from the input type.  Coefficients are padded to
-    the 2 trunc - 1 Hermite degrees so that degree N uses all of B_N.
+    the S = 2 trunc - 1 Hermite degrees so that degree N uses all of B_N;
+    the route (real GEMMs, one batched block contraction) is the module
+    docstring's.
     """
     psi_q, psi_p = cache.table
-    th, t, size = cache.spec.theta, cache.trunc, len(cache.blocks)
+    th, t, size = cache.spec.theta, cache.trunc, cache.table.shape[2]
+    src = np.zeros(size * size + 1, dtype=complex)  # last entry: the slots' zero padding
+    out = np.zeros(size * size + 1, dtype=complex)
     if isinstance(obj, GridFunction):
         if obj.spec != cache.spec:
             raise SpecMismatch("grid function and cache disagree on the grid")
-        h = psi_q.T @ obj.samples @ psi_p  # H[k, l] = sum f psi_k(q) psi_l(p)
-        full = np.zeros((size, size), dtype=complex)
-        for big_n, block in enumerate(cache.blocks):
-            k = np.arange(big_n + 1)
-            full[big_n - k, k] = block.T @ h[k, big_n - k]  # f_{N-m, m} pairs with b_{m, N-m}
-        return MatrixSymbol(t, th, full[:t, :t] * cache.spec.cell / (2.0 * np.pi * th))
+        x = np.ascontiguousarray(obj.samples).view(float)
+        # H[k, l] = sum f psi_k(q) psi_l(p)
+        src[:-1] = ((psi_q.T @ x).view(complex) @ psi_p).ravel()
+        g = src[cache.index]
+        # f_{N-m, m} pairs with b_{m, N-m}: entry (m, N-m) of out is f_{N-m, m}
+        out[cache.index] = (g[:, None, :] @ cache.packed)[:, 0, :]
+        full = out[:-1].reshape(size, size)[:t, :t].T
+        return MatrixSymbol(t, th, full * cache.spec.cell / (2.0 * np.pi * th))
     if obj.trunc != t or obj.theta != th:
         raise SpecMismatch("symbol and cache disagree on truncation or theta")
-    coeffs = np.pad(obj.coeffs, (0, size - t))
-    herm = np.zeros((size, size), dtype=complex)
-    for big_n, block in enumerate(cache.blocks):
-        k = np.arange(big_n + 1)
-        herm[k, big_n - k] = block @ coeffs[k, big_n - k]
-    return GridFunction(cache.spec, psi_q @ herm @ psi_p.T)
+    src[:-1].reshape(size, size)[:t, :t] = obj.coeffs
+    g = src[cache.index]
+    out[cache.index] = (cache.packed @ g[:, :, None])[:, :, 0]
+    herm = out[:-1].reshape(size, size)
+    return GridFunction(cache.spec, (psi_q @ (herm @ psi_p.T).view(float)).view(complex))
 
 
 def matrix_product_oracle(f: MatrixSymbol, g: MatrixSymbol) -> MatrixSymbol:

@@ -229,6 +229,44 @@ def test_star_matrix_functoriality_property(trunc, seed):
     assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
 
+@settings(max_examples=20, deadline=None, derandomize=True)
+@given(trunc=st.integers(1, 8), seed=st.integers(0, 2**32 - 1))
+def test_transforms_match_laguerre_closed_form(trunc, seed):
+    """Both directions against laguerre_b, summed term by term.
+
+    Every odd count 2 trunc - 1 of degree blocks leaves the middle block
+    without a partner, so trunc 1..8 covers the lone slot at every size.
+    Measured floor over trunc 1..8 and 5 seeds each: 1.1e-15 backward,
+    1.2e-15 forward (relative to the largest entry).
+    """
+    spec = GridSpec(M=128, theta=THETA)
+    cache = synthesize_basis(spec, trunc)
+    rng = np.random.default_rng(seed)
+    b = {(m, n): laguerre_b(spec, m, n) for m in range(trunc) for n in range(trunc)}
+    sym = random_symbol(trunc, rng)
+    want = sum(sym.coeffs[m, n] * b[m, n] for m, n in b)
+    got = transform(sym, cache).samples
+    assert np.max(np.abs(got - want)) <= 5e-15 * np.max(np.abs(want))
+    x = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+    want = np.array([[spec.cell / TWO_PI_THETA * np.sum(x * b[n, m])
+                      for n in range(trunc)] for m in range(trunc)])
+    got = transform(GridFunction(spec, x), cache).coeffs
+    assert np.max(np.abs(got - want)) <= 5e-15 * np.max(np.abs(want))
+
+
+@pytest.mark.parametrize("view", [
+    lambda f: GridFunction(f.spec, f.samples.T),
+    lambda f: GridFunction(f.spec, f.samples[::-1, ::-1]),
+    lambda f: f.parity(),
+], ids=["transposed", "reversed", "parity"])
+def test_forward_transform_of_strided_samples(spec, cache, rng, view):
+    """Samples that are not C-contiguous give the bits of a contiguous copy."""
+    x = rng.normal(size=spec.shape) + 1j * rng.normal(size=spec.shape)
+    f = view(GridFunction(spec, x))
+    copy = GridFunction(spec, np.ascontiguousarray(f.samples))
+    assert np.array_equal(transform(f, cache).coeffs, transform(copy, cache).coeffs)
+
+
 @pytest.mark.parametrize("trunc, half_width", [(32, 10.0), (64, 13.0)])
 def test_large_truncation_laws(trunc, half_width, rng):
     """Round trip, Parseval and functoriality where the grid resolves trunc."""
