@@ -3,7 +3,14 @@
 An algebra is stored by structure constants, an involution matrix and a Gram
 matrix. All operator-level verification happens in the orthonormal frame
 W (gram = W†W), where adjoints are plain conjugate transposes and the
-antilinear involution acts as v -> C · conj(v) for a unitary C.
+antilinear involution acts as v -> C · conj(v); C is unitary by the
+star-isometry axiom.
+
+The structure theorems live on the doubled space H ⊕ H̄, where a left
+multiplier L acts as diag(L, C⁻¹LC), but they are checked on H through an
+exact identity: for C unitary, the commutant of the ᴴ-closed set
+diag(A, C⁻¹AC) is {[[q₁, q₂C], [C⁻¹q₃, C⁻¹q₄C]] : qᵢ ∈ Q = {A}'}, of
+dimension 4 dim Q, and its bicommutant is {diag(z, C⁻¹zC) : z ∈ Q'}.
 
 Multiplier pairs, commutants and the center are nullspaces, all taken by one
 kernel, `_null_rows`: the eigenvectors of a closed-form Hermitian normal
@@ -15,18 +22,16 @@ and never reduces a block to tridiagonal form: it estimates the top
 eigenvalue by Lanczos and finds the nullspace of each block by shifted
 inverse subspace iteration (one Cholesky factor) with a Rayleigh–Ritz step on
 a random block that grows until it holds the nullspace and a few spare
-directions. No normal matrix is built larger than the blocks it factors:
-`commutant` assembles only the blocks that its generators' nonzero patterns
-allow (diag(L, C⁻¹LC) on the doubled space gives the four quadrants), and
-`solve_multipliers` splits its normal by its exact nonzero pattern into one
-block, applied and factored through its Kronecker structure, or several
-(a group, Clifford or matrix algebra on its natural basis), each assembled
-dense. `_null_vectors` serves a dense normal (the center's, and the tests'
-oracles) by the same split (`_components`). Normal equations square the
-condition number of the basis; see `solve_multipliers` for the supported
-range. `errors.gate` raises a ResourceError before a normal matrix over
-`errors.MAX_ENTRIES` entries would be needed, or the solver's defect tensor,
-a tensor product or an example's structure tensor over that size is built.
+directions. `solve_multipliers` splits its normal by its exact nonzero
+pattern into one block, applied and factored through its Kronecker
+structure, or several (a group, Clifford or matrix algebra on its natural
+basis), each assembled dense. `commutant` and `center` assemble their normal
+dense, and `_null_vectors` splits it the same way (`_components`). Normal
+equations square the condition number of the basis; see `solve_multipliers`
+for the supported range. `errors.gate` raises a ResourceError before a
+normal matrix over `errors.MAX_ENTRIES` entries would be needed, or the
+solver's defect tensor, a tensor product or an example's structure tensor
+over that size is built.
 
 Conventions
 -----------
@@ -587,97 +592,25 @@ def pair_adjoint(alg: FiniteHilbertAlgebra, pair: MultiplierPair) -> MultiplierP
     return MultiplierPair(adj(pair.left), adj(pair.right), pair.defect)
 
 
-def _commutant_blocks(gens: np.ndarray) -> list[tuple[_DenseBlock, np.ndarray]]:
-    """Exact diagonal blocks of the commutant normal of a ᴴ-closed (G, D, D) stack.
+def _commutant_normal(gens: np.ndarray) -> np.ndarray:
+    """The D² x D² commutant normal of a ᴴ-closed (G, D, D) stack, dense.
 
-    The normal couples X[a, b] to X[a', b'] through S[a, a'] δ(b, b'),
-    δ(a, a') S[b', b] and -2 sum_g g[a, a'] conj(g[b, b']) only. Ambient
-    indices whose rows have the same nonzero pattern in every generator and
-    in S form a part (the stack is ᴴ-closed, so rows also fix the column
-    pattern). Two part pairs (P, Q) and (P', Q') are joined when S[P, P'] is
-    nonzero and Q = Q', when S[Q', Q] is nonzero and P = P', or when one
-    generator is nonzero on both g[P, P'] and g[Q, Q']; the components of
-    that graph on part pairs are exact diagonal blocks of the normal. The
-    blocks are assembled directly into one buffer, with one GEMM over the
-    generators nonzero on g[P, P'] for all joined pairs that share (P, P') and
-    a shape, and each comes with the indices a D + b it occupies.
+    kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g, conj(g)) with S = sum_g gᴴg,
+    written row block by row block: the D rows (a, ·) are one (D, G) @
+    (G, D²) GEMM, so no D⁴-entry temporary is made besides the result.
     """
     count, dd = gens.shape[:2]
     stacked = gens.reshape(-1, dd)  # rows (g, k): s[a, b] = sum_g,k conj(g[k, a]) g[k, b]
     s = stacked.conj().T @ stacked
-    pattern = np.concatenate([gens != 0, (s != 0)[None]])
-    sig = np.packbits(pattern.transpose(1, 0, 2).reshape(dd, -1), axis=1)  # row patterns
-    label = np.unique(sig.view(np.dtype((np.void, sig.shape[1]))).reshape(-1),
-                      return_inverse=True)[1].reshape(-1)
-    p = int(label.max()) + 1
-    onehot = np.zeros((dd, p))
-    onehot[np.arange(dd), label] = 1.0
-    touch = onehot.T @ pattern @ onehot > 0  # touch[g, i, k]: g nonzero on (P_i, P_k)
-    gen_touch, s_touch = touch[:-1], touch[-1]
-    # adj[(i, j), (k, l)] from the GEMM [(i, k), (j, l)] = #g touching both blocks
-    flat = gen_touch.reshape(count, p * p).astype(float)
-    adj = (flat.T @ flat).reshape(p, p, p, p).transpose(0, 2, 1, 3).reshape(p * p, p * p)
-    adj += np.kron(s_touch, np.eye(p)) + np.kron(np.eye(p), s_touch)
-
-    size = np.bincount(label)
-    member = np.zeros((p, size.max(initial=0)), dtype=int)  # member[i, :size[i]] = P_i
-    for i in range(p):
-        member[i, :size[i]] = np.flatnonzero(label == i)
-
-    # part pairs in block order; each block is packed row-major into one buffer
-    comps = _components(adj)
-    node = np.concatenate(comps)
-    comp = np.repeat(np.arange(len(comps)), [len(c) for c in comps])
-    part_i, part_j = np.divmod(node, p)
-    rows = size[part_i] * size[part_j]
-    first = np.cumsum(rows) - rows  # first row of each part pair, blocks concatenated
-    side = np.bincount(comp, weights=rows).astype(int)
-    local = first - (np.cumsum(side) - side)[comp]  # ... and within its block
-    packed = np.cumsum(side * side) - side * side
-    buf = np.zeros(int((side * side).sum()), dtype=complex)
-    order = np.empty(p * p, dtype=int)
-    order[node] = np.arange(len(node))
-    r, t = np.nonzero(adj)  # joined pairs of part pairs, always within one block
-    r, t = order[r], order[t]
-    i, j, k, l = part_i[r], part_j[r], part_i[t], part_j[t]
-    # one GEMM per left sub-block (P_i, P_k) and right shape, over the generators
-    # nonzero on it: sub[e] = -2 sum_g g[P_i, P_k] ⊗ conj(g[P_j, P_l])
-    base = size.max() + 1  # part sizes as digits of a sort key
-    key = ((i * p + k) * base + size[j]) * base + size[l]
-    by_key = np.argsort(key, kind="stable")
-    cuts = np.flatnonzero(np.diff(key[by_key])) + 1
-    for e in np.split(by_key, cuts) if len(key) else []:
-        gi, gk, sj, sl = i[e[0]], k[e[0]], size[j[e[0]]], size[l[e[0]]]
-        si, sk = size[gi], size[gk]
-        pi, pk = member[gi, :si], member[gk, :sk]
-        pj, pl = member[j[e], :sj], member[l[e], :sl]
-        use = np.flatnonzero(gen_touch[:, gi, gk])
-        left = gens[use[:, None, None], pi[:, None], pk].reshape(len(use), si * sk)
-        right = gens[use[:, None, None, None], pj[:, :, None], pl[:, None, :]].conj()
-        sub = left.T @ right.reshape(len(use), len(e) * sj * sl)  # no rows when S alone joins
-        sub = sub.reshape(si, sk, len(e), sj, sl)
-        sub *= -2.0  # sub[a, a', e, b, b']
-        if sj == sl:  # S[a, a'] δ(b, b') where j = l, on a diagonal view
-            np.einsum("acebb->eacb", sub)[j[e] == l[e]] += s[pi[:, None], pk][:, :, None]
-        if gi == gk:  # δ(a, a') S[b', b]
-            np.einsum("aaebd->eabd", sub)[...] += s[pl[:, None, :], pj[:, :, None]][:, None]
-        c = comp[r[e]]
-        # buf index of sub[a, a', e, b, b'] = row (a, b), column (a', b') of block c
-        at = packed[c] + local[r[e]] * side[c] + local[t[e]]
-        row = np.arange(si)[:, None, None, None, None] * sj + np.arange(sj)[:, None]
-        col = np.arange(sk)[:, None, None, None] * sl + np.arange(sl)
-        buf[at[:, None, None] + side[c][:, None, None] * row + col] = sub
-
-    # ambient index a D + b of every row, part pair by part pair
-    idx = np.empty(dd * dd, dtype=int)
-    key = size[part_i] * base + size[part_j]
-    for si, sj in zip(*np.divmod(np.unique(key), base)):
-        v = np.flatnonzero(key == si * base + sj)
-        idx[first[v][:, None] + np.arange(si * sj)] = (
-            member[part_i[v], :si, None] * dd + member[part_j[v], None, :sj]).reshape(len(v), -1)
-    bounds = np.concatenate([[0], np.cumsum(side)])
-    return [(_DenseBlock(buf[packed[c]:packed[c] + n * n].reshape(n, n)),
-             idx[bounds[c]:bounds[c + 1]]) for c, n in enumerate(side)]
+    flat = gens.reshape(count, dd * dd)
+    normal = np.empty((dd, dd, dd, dd), dtype=complex)  # [a, b, a', b']
+    for a in range(dd):
+        # block[a', b, b'] = sum_g conj(g[a, a']) g[b, b']
+        block = (gens[:, a].conj().T @ flat).reshape(dd, dd, dd)
+        normal[a] = -2.0 * block.conj().transpose(1, 0, 2)
+    np.einsum("abcb->acb", normal)[...] += s[:, :, None]  # S[a, a'] where b = b'
+    np.einsum("abad->abd", normal)[...] += s.T[None]  # S[b', b] where a = a'
+    return normal.reshape(dd * dd, dd * dd)
 
 
 def commutant(generators: Iterable[np.ndarray], ambient_dim: int) -> OperatorSubspace:
@@ -686,72 +619,57 @@ def commutant(generators: Iterable[np.ndarray], ambient_dim: int) -> OperatorSub
     Matrices must be expressed in an orthonormal frame for the adjoint to
     coincide with the conjugate transpose. Over the ᴴ-closed set G the
     normal matrix of gX = Xg is kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g,
-    conj(g)) with S = sum_g gᴴg; the cut is as in solve_multipliers, and
-    `errors.gate` raises ResourceError when that normal matrix would exceed
-    `errors.MAX_ENTRIES`. It is never built whole: the nonzero patterns of
-    the generators give its exact diagonal blocks (`_commutant_blocks`),
-    and only those are assembled and solved. For diag(L, C⁻¹LC) on the
-    doubled space the four quadrants of X are four independent d² x d²
-    problems, and each basis element returned lies in one quadrant.
+    conj(g)) with S = sum_g gᴴg. It is assembled dense (`_commutant_normal`)
+    after `errors.gate` has checked its size against `errors.MAX_ENTRIES`,
+    and `_null_vectors` splits it into the exact blocks of its nonzero
+    pattern; the cut is as in solve_multipliers.
+
+    For generators diag(A, C⁻¹AC) on H ⊕ H̄ with C unitary (so the set stays
+    ᴴ-closed), gX = Xg splits into four quadrant equations: X₁₁, X₁₂C⁻¹, CX₂₁
+    and CX₂₂C⁻¹ all lie in Q = {A}'. So the commutant is {[[q₁, q₂C],
+    [C⁻¹q₃, C⁻¹q₄C]] : qᵢ ∈ Q}, of dimension 4 dim Q, and since I ∈ Q the
+    bicommutant is {diag(z, C⁻¹zC) : z ∈ Q'}. The verifiers work on H by it.
     """
     dd = ambient_dim
     n = dd * dd
     gate(n * n, f"commutant at ambient dimension {dd}")
     gens = np.asarray(list(generators), dtype=complex).reshape(-1, dd, dd)
     gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
-    return OperatorSubspace(dd, _null_rows(_commutant_blocks(gens), n).reshape(-1, dd, dd))
+    return OperatorSubspace(dd, _null_vectors(_commutant_normal(gens)).reshape(-1, dd, dd))
 
 
 # ---------------------------------------------------------------------------
-# doubled-space verification of the structure theorems
+# the structure theorems, checked on H
 # ---------------------------------------------------------------------------
-
-def _frame_conjugation(alg: FiniteHilbertAlgebra) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Return (W, W^-1, C) with C the frame matrix of the involution."""
-    w = alg.frame()
-    winv = np.linalg.inv(w)
-    cmat = w @ alg.involution.T @ np.conj(winv)
-    return w, winv, cmat
-
-
-def _embed_left(lmats_frame: np.ndarray, cmat: np.ndarray) -> np.ndarray:
-    """diag(L, C^-1 L C) for each L of a (k, d, d) stack: the doubled-space picture."""
-    k, d = lmats_frame.shape[:2]
-    out = np.zeros((k, 2 * d, 2 * d), dtype=complex)
-    out[:, :d, :d] = lmats_frame
-    out[:, d:, d:] = cmat.conj().T @ lmats_frame @ cmat  # C is unitary
-    return out
-
 
 def verify_caract(alg: FiniteHilbertAlgebra,
                   pairs: list[MultiplierPair] | None = None) -> dict[str, Any]:
     """Bicommutant characterization of the multiplier pairs.
 
-    Embeds the regular pairs on the doubled space, takes the double
-    commutant, and compares with the span of the solved multiplier pairs.
+    On H ⊕ H̄ the bicommutant of the embedded left regular maps diag(L, C⁻¹LC)
+    must be the span of the embedded multiplier lefts. C is unitary, so by
+    the identity in `commutant` it is {diag(z, C⁻¹zC) : z ∈ λ(A)''}, and the
+    check compares λ(A)'' on H with the span of the solved lefts. The
+    embedding scales Frobenius norms by √2, so relative residuals agree.
     """
     d = alg.dim
-    w, winv, cmat = _frame_conjugation(alg)
-
+    w = alg.frame()
+    winv = np.linalg.inv(w)
     # c.transpose(0, 2, 1) is the stack of lam(e_i)
-    gens = _embed_left(w @ alg.structure.transpose(0, 2, 1) @ winv, cmat)
-    first = commutant(gens, 2 * d)
-    second = commutant(first.basis, 2 * d)
-
+    first = commutant(w @ alg.structure.transpose(0, 2, 1) @ winv, d)
+    second = commutant(first.basis, d)
     if pairs is None:
         pairs = solve_multipliers(alg)
     lefts = np.array([p.left for p in pairs]).reshape(-1, d, d)
-    span = OperatorSubspace.from_matrices(_embed_left(w @ lefts @ winv, cmat), 2 * d)
-
+    span = OperatorSubspace.from_matrices(w @ lefts @ winv, d)
     residual = second.equals(span)
-    report = {
+    return {
         "multiplier_dim": len(pairs),
         "bicommutant_dim": second.dim,
         "span_residual": residual,
         "max_pair_defect": max((p.defect for p in pairs), default=0.0),
         "pass": residual <= _TOL and second.dim == span.dim,
     }
-    return report
 
 
 def verify_commutant_structure(alg: FiniteHilbertAlgebra,
@@ -759,42 +677,32 @@ def verify_commutant_structure(alg: FiniteHilbertAlgebra,
                                ) -> dict[str, Any]:
     """Block form of the commutant of the embedded multiplier algebra.
 
-    Writing the embedded algebra as diag(L, C^-1 L C) on H (+) conj(H), its
-    commutant must consist of the blocks
-        [[R1, R2 C], [C^-1 R3, C^-1 R4 C]]
-    with each R_i ranging over the right-multiplier space, hence dimension
-    exactly four times the multiplier dimension.
+    On H ⊕ H̄ the commutant of the embedded lefts diag(L, C⁻¹LC) must be
+    {[[R₁, R₂C], [C⁻¹R₃, C⁻¹R₄C]]} with each Rᵢ in the right-multiplier
+    space, of four times the multiplier dimension. C is unitary, so by the
+    identity in `commutant` the Rᵢ range over the commutant Q of the lefts
+    on H: `commutant_dim` is 4 dim Q, and `block_residual` the largest
+    distance of a unit basis element of Q from the right-multiplier span.
     """
     d = alg.dim
-    w, winv, cmat = _frame_conjugation(alg)
-    cinv = cmat.conj().T
-
+    w = alg.frame()
+    winv = np.linalg.inv(w)
     if pairs is None:
         pairs = solve_multipliers(alg)
     lefts = np.array([p.left for p in pairs]).reshape(-1, d, d)
     rights = np.array([p.right for p in pairs]).reshape(-1, d, d)
-    comm = commutant(_embed_left(w @ lefts @ winv, cmat), 2 * d)
-
+    comm = commutant(w @ lefts @ winv, d)
     # c.transpose(1, 2, 0) is the stack of rho(e_j)
     rmats = np.concatenate([alg.structure.transpose(1, 2, 0), rights])
     rspan = OperatorSubspace.from_matrices(w @ rmats @ winv, d)
-
-    # measure the absolute out-of-form component of each unit-norm commutant
-    # element; a relative distance would blow up on noise-level blocks
-    b = comm.basis
-    blocks = np.concatenate([b[:, :d, :d], b[:, :d, d:] @ cinv,
-                             cmat @ b[:, d:, :d], cmat @ b[:, d:, d:] @ cinv])
-    off = np.linalg.norm((blocks - rspan.project(blocks)).reshape(len(blocks), -1), axis=1)
-    block_residual = float(off.max(initial=0.0))
-
+    block_residual = float(rspan._distances(comm.basis).max(initial=0.0))
     expected = 4 * len(pairs)
-    report = {
-        "commutant_dim": comm.dim,
+    return {
+        "commutant_dim": 4 * comm.dim,
         "expected_dim": expected,
         "block_residual": block_residual,
-        "pass": comm.dim == expected and block_residual <= _TOL,
+        "pass": 4 * comm.dim == expected and block_residual <= _TOL,
     }
-    return report
 
 
 def natural_trace_check(alg: FiniteHilbertAlgebra) -> dict[str, Any]:
@@ -885,7 +793,8 @@ def inner_automorphism(alg: FiniteHilbertAlgebra, pair: MultiplierPair
                        ) -> tuple[np.ndarray, dict[str, Any]]:
     """Automorphism x -> L(R*(x)) induced by a unitary multiplier pair."""
     d = alg.dim
-    w, winv, _ = _frame_conjugation(alg)
+    w = alg.frame()
+    winv = np.linalg.inv(w)
     lw = w @ pair.left @ winv
     rw = w @ pair.right @ winv
     eye = np.eye(d)
@@ -992,6 +901,8 @@ def group_algebra(table: np.ndarray, name: str = "group") -> FiniteHilbertAlgebr
         raise ParseError("group table must be square")
     if np.any((table < 0) | (table >= n)):
         raise ParseError(f"group table entries must lie in [0, {n})")
+    if n == 0:
+        raise ParseError("group table is empty")
     gate(n ** 3, f"structure tensor of a group of order {n}")
     if not (np.all(table[0] == np.arange(n)) and np.all(table[:, 0] == np.arange(n))):
         raise ParseError("index 0 must be the group identity")
@@ -1010,6 +921,8 @@ def group_algebra(table: np.ndarray, name: str = "group") -> FiniteHilbertAlgebr
 
 def full_matrix_algebra(n: int) -> FiniteHilbertAlgebra:
     """n x n matrices with <a,b> = tr(a* b), in the matrix-unit basis."""
+    if n < 1:
+        raise InvalidArgument(f"matrix size must be at least 1, got {n}")
     d = n * n
     gate(d ** 3, f"structure tensor of mat{n}")
 
@@ -1037,6 +950,8 @@ def example_algebra(kind: str, **params: Any) -> FiniteHilbertAlgebra:
         return full_matrix_algebra(int(params.get("n", 2)))
     if kind == "cyclic_group":
         n = int(params.get("n", 3))
+        if n < 1:
+            raise InvalidArgument(f"group order must be at least 1, got {n}")
         return group_algebra(_cyclic_table(n), name=f"c{n}")
     if kind == "s3":
         return group_algebra(_s3_table(), name="s3")

@@ -58,8 +58,8 @@ class GridSpec:
             raise SpecMismatch("need at least one symplectic pair")
         if self.M < 8 or self.M & (self.M - 1):
             raise SpecMismatch(f"M must be a power of two >= 8, got {self.M}")
-        if self.theta <= 0:
-            raise SpecMismatch(f"theta must be positive, got {self.theta}")
+        if not (np.isfinite(self.theta) and self.theta > 0):
+            raise SpecMismatch(f"theta must be finite and positive, got {self.theta}")
         half = self.L
         if half is None:
             half = 6.0 * np.sqrt(self.theta)
@@ -69,8 +69,8 @@ class GridSpec:
             half = tuple(float(v) for v in half)
         if len(half) != 2 * self.n:
             raise SpecMismatch(f"need {2 * self.n} half-widths, got {len(half)}")
-        if min(half) <= 0:
-            raise SpecMismatch("half-widths must be positive")
+        if not all(np.isfinite(v) and v > 0 for v in half):
+            raise SpecMismatch(f"half-widths must be finite and positive, got {half}")
         object.__setattr__(self, "L", half)
         gate(self.M ** (2 * self.n), f"grid of {self.M}^{2 * self.n} samples")
 

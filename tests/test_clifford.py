@@ -174,6 +174,18 @@ def test_structure_theorems_for_cl2():
     assert hilbert.natural_trace_check(alg)["pass"]
 
 
+def test_structure_theorems_for_unrotated_cl6():
+    # d = 64 on the blade basis: the commutant normals split into exact blocks,
+    # and both theorems hold with 64 pairs, bicommutant 64 and commutant 256
+    alg = clifford.as_hilbert_algebra(3)
+    pairs = hilbert.solve_multipliers(alg)
+    assert len(pairs) == 64
+    caract = hilbert.verify_caract(alg, pairs=pairs)
+    assert caract["pass"] and caract["bicommutant_dim"] == 64
+    struct = hilbert.verify_commutant_structure(alg, pairs=pairs)
+    assert struct["pass"] and struct["commutant_dim"] == 256
+
+
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_unital_multiplier_collapse(m):
     report = clifford.verify_unital_multipliers(m)

@@ -14,11 +14,13 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from scipy import sparse
 from scipy.linalg import null_space
+from scipy.sparse import csgraph
 
 from hdqkit import clifford, hilbert
-from hdqkit.errors import (HdqError, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
-                           ResourceError)
+from hdqkit.errors import (HdqError, InvalidArgument, InvalidGram, NotIsomorphism, NotUnitary,
+                           ParseError, ResourceError)
 
 
 # ---------------------------------------------------------------------------
@@ -52,20 +54,41 @@ def naive_multiplier_dim(alg: hilbert.FiniteHilbertAlgebra) -> int:
     return null_space(np.array(rows)).shape[1]
 
 
-def naive_commutant_dim(mats, dim: int) -> int:
-    gens = []
-    for g in mats:
-        gens += [np.asarray(g, dtype=complex), np.asarray(g, dtype=complex).conj().T]
-    rows = []
-    for g in gens:
-        for a in range(dim):
-            for b in range(dim):
-                row = np.zeros(dim * dim, dtype=complex)
-                for k in range(dim):
-                    row[a * dim + k] += np.conj(g[k, b])  # hermitian-safe assembly
-                    row[k * dim + b] -= np.conj(g[a, k])
-                rows.append(np.conj(row))
-    return null_space(np.array(rows)).shape[1]
+def naive_commutant_system(mats, dim: int) -> sparse.csr_array:
+    """The rows of Xg - gX = 0 over the generators and their adjoints, written
+    entry by entry from the definition: row (g, a, b) holds g[k, b] at column
+    (a, k) and -g[a, k] at column (k, b), summed where the two meet."""
+    mats = np.asarray(list(mats), dtype=complex).reshape(-1, dim, dim)
+    gens = np.concatenate([mats, mats.conj().transpose(0, 2, 1)])
+    a, b, k = np.indices((dim, dim, dim)).reshape(3, -1)
+    row = np.arange(len(gens))[:, None] * dim * dim + np.tile(a * dim + b, 2)
+    col = np.broadcast_to(np.concatenate([a * dim + k, k * dim + b]), row.shape)
+    val = np.concatenate([gens[:, k, b], -gens[:, a, k]], axis=1)
+    keep = val != 0
+    system = sparse.coo_array((val[keep], (row[keep], col[keep])),
+                              shape=(len(gens) * dim * dim, dim * dim)).tocsr()
+    system.eliminate_zeros()
+    return system
+
+
+def naive_commutant(mats, dim: int) -> tuple[hilbert.OperatorSubspace, np.ndarray]:
+    """Commutant from scipy nullspaces of the Gram matrix of the system above,
+    one per connected component of its pattern (`scipy.sparse.csgraph`), and
+    that Gram matrix, dense. The system itself has 2 G D² rows: 2 GB dense at
+    the bicommutant of the doubled Cl(4)."""
+    system = naive_commutant_system(mats, dim)
+    gram = (system.conj().T @ system).tocsr()
+    gram.eliminate_zeros()
+    count, label = csgraph.connected_components(abs(gram), directed=False)
+    vecs = []
+    for c in range(count):
+        idx = np.flatnonzero(label == c)
+        null = null_space(gram[idx][:, idx].toarray())
+        full = np.zeros((dim * dim, null.shape[1]), dtype=complex)
+        full[idx] = null
+        vecs.append(full)
+    basis = np.concatenate(vecs, axis=1).T.reshape(-1, dim, dim)
+    return hilbert.OperatorSubspace(dim, basis), gram.toarray()
 
 
 def pair_defect(alg: hilbert.FiniteHilbertAlgebra, left, right) -> float:
@@ -118,25 +141,6 @@ def dense_solver_normal(c: np.ndarray) -> np.ndarray:
         [b.conj().T, np.kron(np.einsum("ajk,bjk->ab", cc, c), eye)]])
 
 
-def dense_commutant_normal(mats, dim: int) -> np.ndarray:
-    """The commutant's D² x D² normal kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g,
-    conj(g)) over the ᴴ-closed set, built dense: the oracle of the blocks that
-    `commutant` assembles."""
-    n = dim * dim
-    gens = np.asarray(list(mats), dtype=complex).reshape(-1, dim, dim)
-    gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
-    flat = gens.reshape(-1, n)
-    stacked = gens.reshape(-1, dim)
-    s = stacked.conj().T @ stacked
-    # (flat.T @ conj(flat))[(a, a'), (b, b')] = sum_g g[a, a'] conj(g[b, b'])
-    normal = -2.0 * (flat.T @ flat.conj()).reshape(dim, dim, dim, dim).transpose(0, 2, 1, 3)
-    normal = normal.reshape(n, n)
-    normal4 = normal.reshape(dim, dim, dim, dim)
-    np.einsum("abcb->acb", normal4)[...] += s[:, :, None]  # S[a, a'] where b = b'
-    np.einsum("abad->abd", normal4)[...] += s.T[None]  # S[b', b] where a = a'
-    return normal
-
-
 def row_span_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Largest residual of a row of one orthonormal set projected onto the other."""
     def resid(x, y):
@@ -165,10 +169,28 @@ def oracle_algebra(name: str, rotated: bool) -> hilbert.FiniteHilbertAlgebra:
     return alg
 
 
+def frame_conjugation(alg: hilbert.FiniteHilbertAlgebra):
+    """(W, W⁻¹, C): the orthonormal frame and the frame matrix C of the
+    involution, which acts there as v -> C conj(v)."""
+    w = alg.frame()
+    winv = np.linalg.inv(w)
+    return w, winv, w @ alg.involution.T @ np.conj(winv)
+
+
+def doubled(mats: np.ndarray, cmat: np.ndarray) -> np.ndarray:
+    """diag(A, C⁻¹AC) for each A of a (k, d, d) stack, C unitary."""
+    k, d = mats.shape[:2]
+    out = np.zeros((k, 2 * d, 2 * d), dtype=complex)
+    out[:, :d, :d] = mats
+    out[:, d:, d:] = cmat.conj().T @ mats @ cmat
+    return out
+
+
 def doubled_left_regulars(alg: hilbert.FiniteHilbertAlgebra) -> np.ndarray:
-    """diag(L, C⁻¹LC) for the left regular maps, as `verify_caract` embeds them."""
-    w, winv, cmat = hilbert._frame_conjugation(alg)
-    return hilbert._embed_left(w @ alg.structure.transpose(0, 2, 1) @ winv, cmat)
+    """diag(L, C⁻¹LC) for the left regular maps: the doubled-space picture of
+    the structure theorems."""
+    w, winv, cmat = frame_conjugation(alg)
+    return doubled(w @ alg.structure.transpose(0, 2, 1) @ winv, cmat)
 
 
 def assert_exact_blocks(blocks, normal: np.ndarray) -> None:
@@ -599,9 +621,8 @@ def test_null_vectors_match_eigh_across_block_widths(null, data):
 
 def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
     # the nullspace kernel only eigensolves Rayleigh–Ritz matrices; here every
-    # block stops by width 32, against the structured solver block of 512 and
-    # commutant blocks of 169 (quadrants) and 338 (the bicommutant's diagonal
-    # quadrants, which the embedded algebra couples)
+    # block stops by width 32, against the structured solver blocks of 512
+    # (mat4) and 338 (m2+m3) and the commutant normals of 169 (m2+m3 on H)
     sizes = []
 
     def recording(solver):
@@ -687,7 +708,7 @@ def test_commutant_of_left_regulars_is_right_span(m2):
     rho = [hilbert.regular_representation(m2, np.eye(4)[j], "right") for j in range(4)]
     sub = hilbert.commutant(lam, 4)
     assert sub.dim == 4
-    assert sub.dim == naive_commutant_dim(lam, 4)
+    assert sub.dim == naive_commutant(lam, 4)[0].dim
     span = hilbert.OperatorSubspace.from_matrices(rho, 4)
     assert sub.equals(span) <= 1e-13
 
@@ -735,25 +756,26 @@ def test_commutant_basis_is_orthonormal(m2):
 
 
 def check_commutant_against_oracle(gens, dim: int) -> tuple[hilbert.OperatorSubspace, int]:
-    """Block-first commutant against the nullspace of the dense normal; returns
-    the commutant and its block count, never more than the oracle's components."""
+    """`commutant` against the loop-assembled oracle: the dense normal it
+    builds is the Gram matrix of the oracle's system, and the two nullspaces
+    agree. Returns the commutant and the number of exact blocks
+    (`_components`) of its normal."""
     gens = np.asarray(gens, dtype=complex).reshape(-1, dim, dim)
-    normal = dense_commutant_normal(gens, dim)
-    blocks = hilbert._commutant_blocks(np.concatenate([gens, gens.conj().transpose(0, 2, 1)]))
-    assert_exact_blocks(blocks, normal)
-    assert len(blocks) <= len(hilbert._components(normal))
+    normal = hilbert._commutant_normal(np.concatenate([gens, gens.conj().transpose(0, 2, 1)]))
+    want, gram = naive_commutant(gens, dim)
+    # measured worst 2.9e-15 of max(|gram|, 1), on the rotated doubled Cl(4)
+    assert np.abs(normal - gram).max() <= 1e-14 * max(1.0, float(np.abs(gram).max()))
     sub = hilbert.commutant(gens, dim)
-    want = hilbert.OperatorSubspace(dim, hilbert._null_vectors(normal).reshape(-1, dim, dim))
     assert sub.dim == want.dim
     assert sub.equals(want) <= 1e-13
-    return sub, len(blocks)
+    return sub, len(hilbert._components(normal))
 
 
 @pytest.mark.parametrize("rotated", [False, True])
 @pytest.mark.parametrize("name", ["mat3", "m2+m3", "cl4"])
 def test_commutant_blocks_match_dense_oracle(name, rotated):
     # first commutant and bicommutant of the doubled-space left regulars; in a
-    # Haar basis the quadrants are the blocks, and the bicommutant joins two
+    # Haar basis the quadrants are the exact blocks, and the bicommutant joins two
     alg = oracle_algebra(name, rotated)
     d = alg.dim
     first, first_blocks = check_commutant_against_oracle(doubled_left_regulars(alg), 2 * d)
@@ -770,9 +792,10 @@ def test_commutant_of_random_and_no_generators_matches_dense_oracle(rng):
     u = haar_unitary(rng, 6)
     gens = u @ np.kron(rng.normal(size=(2, 3, 3)), np.eye(2)) @ u.conj().T
     assert check_commutant_against_oracle(gens, 6)[0].dim == 4
+    # no generators: a zero normal, one 1 x 1 block per unknown
     sub, blocks = check_commutant_against_oracle([], 3)
-    assert (sub.dim, blocks) == (9, 1)
-    # ragged sparse patterns: some part pairs are joined through S alone
+    assert (sub.dim, blocks) == (9, 9)
+    # ragged sparse patterns split the normal into blocks of several sizes
     mask = rng.random(size=(3, 6, 6)) < 0.3
     check_commutant_against_oracle(mask * (rng.normal(size=(3, 6, 6)) + 1j), 6)
 
@@ -780,6 +803,33 @@ def test_commutant_of_random_and_no_generators_matches_dense_oracle(rng):
 # ---------------------------------------------------------------------------
 # structure theorems on the doubled space
 # ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("name", ["mat3", "m2+m3", "cl4"])
+def test_doubled_space_commutants_reduce_to_h(name, rotated):
+    # the identity the verifiers rest on: with C unitary, the commutant of
+    # diag(A, C⁻¹AC) is {[[q₁, q₂C], [C⁻¹q₃, C⁻¹q₄C]] : qᵢ ∈ Q = {A}'} and
+    # its bicommutant is {diag(z, C⁻¹zC) : z ∈ Q'}
+    alg = oracle_algebra(name, rotated)
+    d = alg.dim
+    w, winv, cmat = frame_conjugation(alg)
+    assert np.abs(cmat.conj().T @ cmat - np.eye(d)).max() <= 1e-14
+    q = hilbert.commutant(w @ alg.structure.transpose(0, 2, 1) @ winv, d)
+    z = hilbert.commutant(q.basis, d)
+    first = hilbert.commutant(doubled_left_regulars(alg), 2 * d)
+    second = hilbert.commutant(first.basis, 2 * d)
+    cinv = cmat.conj().T
+    twisted = np.zeros((4, q.dim, 2 * d, 2 * d), dtype=complex)
+    twisted[0, :, :d, :d] = q.basis
+    twisted[1, :, :d, d:] = q.basis @ cmat
+    twisted[2, :, d:, :d] = cinv @ q.basis
+    twisted[3, :, d:, d:] = cinv @ q.basis @ cmat
+    assert first.dim == 4 * q.dim and second.dim == z.dim
+    assert first.equals(hilbert.OperatorSubspace.from_matrices(
+        twisted.reshape(-1, 2 * d, 2 * d), 2 * d)) <= 1e-13
+    assert second.equals(hilbert.OperatorSubspace.from_matrices(
+        doubled(z.basis, cmat), 2 * d)) <= 1e-13
+
 
 def test_bicommutant_matches_multiplier_span(m2, c3, s3):
     expected = {"mat2": 4, "c3": 3, "s3": 6}
@@ -1055,3 +1105,12 @@ def test_bad_choices_raise_hdq_errors(m2):
         hilbert.regular_representation(m2, np.eye(4)[0], side="middle")
     with pytest.raises(HdqError):
         hilbert.combine(m2, m2, mode="free_product")
+    # sizes below one, and an empty group table
+    for kind in ("full_matrix", "cyclic_group"):
+        for n in (0, -1):
+            with pytest.raises(InvalidArgument):
+                hilbert.example_algebra(kind, n=n)
+    with pytest.raises(InvalidArgument):
+        hilbert.full_matrix_algebra(0)
+    with pytest.raises(ParseError):
+        hilbert.group_algebra(np.zeros((0, 0), dtype=int))

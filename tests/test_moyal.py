@@ -124,6 +124,14 @@ def test_spec_rejects_bad_sizes():
         GridSpec(n=1, L=(1.0, 2.0, 3.0))
     with pytest.raises(SpecMismatch):
         GridSpec(n=0)
+    # a NaN compares False with 0, so only a finiteness check refuses it
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(SpecMismatch):
+            GridSpec(theta=bad)
+        with pytest.raises(SpecMismatch):
+            GridSpec(L=bad)
+        with pytest.raises(SpecMismatch):
+            GridSpec(n=1, L=(1.0, bad))
 
 
 def test_spec_memory_gate():
