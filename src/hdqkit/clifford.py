@@ -123,6 +123,11 @@ def blade_product(mask_i: int, mask_j: int, m: int) -> tuple[int, int]:
     return (-1 if swaps & 1 else 1), mask_i ^ mask_j
 
 
+def _check_rank(m: int) -> None:
+    if m < 1:
+        raise SpecMismatch(f"need at least one generator pair, got m={m}")
+
+
 @dataclass
 class CliffordElement:
     """Element of Cl(2m) as a dense coefficient vector over blade masks."""
@@ -131,6 +136,7 @@ class CliffordElement:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        _check_rank(self.m)
         d = 1 << (2 * self.m)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (d,):
@@ -153,6 +159,7 @@ class CliffordElement:
 
 
 def blade(m: int, mask: int) -> CliffordElement:
+    _check_rank(m)
     d = 1 << (2 * m)
     gate(d, f"blade of Cl({2 * m})")
     if not 0 <= mask < d:
@@ -188,8 +195,7 @@ def inner(x: CliffordElement, y: CliffordElement) -> complex:
 
 def as_hilbert_algebra(m: int) -> FiniteHilbertAlgebra:
     """Dense export of Cl(2m) into the finite Hilbert-algebra format."""
-    if m < 1:
-        raise SpecMismatch("need at least one generator pair")
+    _check_rank(m)
     d = 1 << (2 * m)
     gate(d ** 3, f"dense structure constants of Cl({2 * m})")
     sgn = _sign_table(m)

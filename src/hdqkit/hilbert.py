@@ -29,9 +29,8 @@ basis), each assembled dense. `commutant` and `center` assemble their normal
 dense, and `_null_vectors` splits it the same way (`_components`). Normal
 equations square the condition number of the basis; see `solve_multipliers`
 for the supported range. `errors.gate` raises a ResourceError before a
-normal matrix over `errors.MAX_ENTRIES` entries would be needed, or the
-solver's defect tensor, a tensor product or an example's structure tensor
-over that size is built.
+normal matrix over `errors.MAX_ENTRIES` entries would be needed, or a tensor
+product or an example's structure tensor over that size is built.
 
 Conventions
 -----------
@@ -52,7 +51,7 @@ import scipy.linalg as sla
 from scipy.linalg import blas
 
 from .errors import (InvalidArgument, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
-                     StructureError, gate)
+                     SpecMismatch, StructureError, gate)
 
 __all__ = [
     "FiniteHilbertAlgebra",
@@ -103,6 +102,8 @@ class FiniteHilbertAlgebra:
             raise StructureError(
                 f"inconsistent shapes: c{c.shape}, S{s.shape}, G{g.shape}"
             )
+        if not all(np.isfinite(a).all() for a in (c, s, g)):
+            raise StructureError("non-finite structure, involution or gram entries")
         object.__setattr__(self, "structure", c)
         object.__setattr__(self, "involution", s)
         object.__setattr__(self, "gram", g)
@@ -201,12 +202,21 @@ class OperatorSubspace:
 
     @staticmethod
     def from_matrices(mats: Iterable[np.ndarray], ambient_dim: int) -> "OperatorSubspace":
-        stack = np.array([np.asarray(m, dtype=complex).reshape(-1) for m in mats])
+        stack = _matrix_stack(mats, ambient_dim).reshape(-1, ambient_dim ** 2)
         if stack.size == 0:
             return OperatorSubspace(ambient_dim, np.zeros((0, ambient_dim, ambient_dim)))
         q = sla.orth(stack.T, rcond=1e-12)
         basis = q.T.reshape(-1, ambient_dim, ambient_dim)
         return OperatorSubspace(ambient_dim, basis)
+
+
+def _matrix_stack(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
+    """The matrices as a (k, dim, dim) complex stack; SpecMismatch unless each is dim x dim."""
+    stack = [np.asarray(m, dtype=complex) for m in mats]
+    for m in stack:
+        if m.shape != (dim, dim):
+            raise SpecMismatch(f"expected {dim} x {dim} matrices, got shape {m.shape}")
+    return np.array(stack).reshape(-1, dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -496,14 +506,21 @@ def _null_vectors(normal: np.ndarray) -> np.ndarray:
 
 def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
                   rights: np.ndarray) -> np.ndarray:
-    """max |lam(e_i) L e_j - rho(e_j) R e_i| for each pair of (p, d, d) stacks."""
+    """max |lam(e_i) L e_j - rho(e_j) R e_i| for each pair of (p, d, d) stacks.
+
+    One pair at a time, so no temporary is larger than the structure tensor.
+    """
     c = alg.structure
     d = alg.dim
-    # sum_a c[i, a, k] L[p, a, j] as d x d products batched over (p, i), and
-    # sum_a c[a, j, k] R[p, a, i] as one (p d, d) @ (d, d²) GEMM
-    resid = np.matmul(lefts.transpose(0, 2, 1)[:, None], c)
-    resid -= (rights.transpose(0, 2, 1).reshape(-1, d) @ c.reshape(d, d * d)).reshape(resid.shape)
-    return np.abs(resid).max(axis=(1, 2, 3), initial=0.0)
+    flat = c.reshape(d, d * d)
+    defects = np.zeros(len(lefts))
+    for n, (left, right) in enumerate(zip(lefts, rights)):
+        # sum_a c[i, a, k] L[a, j] as d x d products batched over i, and
+        # sum_a c[a, j, k] R[a, i] as one (d, d) @ (d, d²) GEMM
+        resid = np.matmul(left.T, c)
+        resid -= (right.T @ flat).reshape(d, d, d)
+        defects[n] = np.abs(resid).max(initial=0.0)
+    return defects
 
 
 def _multiplier_blocks(c: np.ndarray) -> list[tuple[_Block, np.ndarray]]:
@@ -563,9 +580,9 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     cond(q)², up to 7e-12 at 1e3 and 4e-9 at 1e4. `verify_caract` passes
     through cond(q) = 1e2. `errors.gate` raises ResourceError when the
     normal matrix the solve stands for (4d⁴ entries, a bound on its d⁴ work
-    arrays and its 4d⁴ boolean pattern), or the p x d x d x d defect
-    residuals of the p pairs found, would exceed `errors.MAX_ENTRIES`; a
-    degenerate algebra has up to 2d² pairs.
+    arrays and its 4d⁴ boolean pattern) would exceed `errors.MAX_ENTRIES`.
+    Each pair's defect is measured on its own, so no residual is larger than
+    the structure tensor, even for the 2d² pairs of a degenerate algebra.
     """
     d = alg.dim
     dd = d * d
@@ -573,7 +590,6 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     w = alg.frame()
     winv = np.linalg.inv(w)
     null = _null_rows(_multiplier_blocks(change_basis(alg, winv).structure), 2 * dd)
-    gate(len(null) * d ** 3, f"defects of {len(null)} multiplier pairs at d={d}")
 
     lefts = winv @ null[:, :dd].reshape(-1, d, d) @ w
     rights = winv @ null[:, dd:].reshape(-1, d, d) @ w
@@ -614,15 +630,16 @@ def _commutant_normal(gens: np.ndarray) -> np.ndarray:
 
 
 def commutant(generators: Iterable[np.ndarray], ambient_dim: int) -> OperatorSubspace:
-    """Commutant of a set of matrices (adjoints are adjoined first).
+    """Commutant of a set of D x D matrices (adjoints are adjoined first).
 
-    Matrices must be expressed in an orthonormal frame for the adjoint to
-    coincide with the conjugate transpose. Over the ᴴ-closed set G the
-    normal matrix of gX = Xg is kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g,
-    conj(g)) with S = sum_g gᴴg. It is assembled dense (`_commutant_normal`)
-    after `errors.gate` has checked its size against `errors.MAX_ENTRIES`,
-    and `_null_vectors` splits it into the exact blocks of its nonzero
-    pattern; the cut is as in solve_multipliers.
+    Any other shape raises SpecMismatch. Matrices must be expressed in an
+    orthonormal frame for the adjoint to coincide with the conjugate
+    transpose. Over the ᴴ-closed set G the normal matrix of gX = Xg is
+    kron(S, I) + kron(I, Sᵀ) - 2 sum_g kron(g, conj(g)) with S = sum_g gᴴg.
+    It is assembled dense (`_commutant_normal`) after `errors.gate` has
+    checked its size against `errors.MAX_ENTRIES`, and `_null_vectors` splits
+    it into the exact blocks of its nonzero pattern; the cut is as in
+    solve_multipliers.
 
     For generators diag(A, C⁻¹AC) on H ⊕ H̄ with C unitary (so the set stays
     ᴴ-closed), gX = Xg splits into four quadrant equations: X₁₁, X₁₂C⁻¹, CX₂₁
@@ -633,7 +650,7 @@ def commutant(generators: Iterable[np.ndarray], ambient_dim: int) -> OperatorSub
     dd = ambient_dim
     n = dd * dd
     gate(n * n, f"commutant at ambient dimension {dd}")
-    gens = np.asarray(list(generators), dtype=complex).reshape(-1, dd, dd)
+    gens = _matrix_stack(generators, dd)
     gens = np.concatenate([gens, gens.conj().transpose(0, 2, 1)])
     return OperatorSubspace(dd, _null_vectors(_commutant_normal(gens)).reshape(-1, dd, dd))
 

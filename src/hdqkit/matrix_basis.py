@@ -43,7 +43,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import expm
 
-from .errors import NotSquareIntegrable, SpecMismatch, TruncationError, gate
+from .errors import InvalidArgument, NotSquareIntegrable, SpecMismatch, TruncationError, gate
 from .moyal import GridFunction, GridSpec
 
 # The Gram error of the sampled Hermite functions bounds the transforms'
@@ -224,7 +224,7 @@ def ladder_matrix(which: int, trunc: int) -> np.ndarray:
     elif which == 2:
         z[m[:-1], m[:-1] + 1] = -1j * np.sqrt(m[:-1] + 1)
     else:
-        raise SpecMismatch("ladder index must be 1 or 2")
+        raise InvalidArgument("ladder index must be 1 or 2")
     return z
 
 
@@ -245,7 +245,7 @@ def gbv_norm(sym: MatrixSymbol, k: int, l: int, mode: str = "usual") -> float:
         return float(np.sqrt(np.sum(wm[:, None] * wn[None, :]
                                     * np.abs(sym.coeffs) ** 2)))
     if mode != "operator":
-        raise SpecMismatch(f"unknown gbv mode {mode!r}")
+        raise InvalidArgument(f"unknown gbv mode {mode!r}")
     z1 = ladder_matrix(1, sym.trunc)
     z2 = ladder_matrix(2, sym.trunc)
     acc = sym.coeffs.copy()

@@ -23,12 +23,11 @@ against the direct quadrature below, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import QuadratureError, ResourceError, SpecMismatch, gate
+from .errors import InvalidArgument, QuadratureError, ResourceError, SpecMismatch, gate
 
 Side = Literal["left", "right"]
 
@@ -54,6 +53,8 @@ class GridSpec:
     theta: float = 2.0
 
     def __post_init__(self) -> None:
+        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.M)):
+            raise SpecMismatch(f"n and M must be integers, got n={self.n!r}, M={self.M!r}")
         if self.n < 1:
             raise SpecMismatch("need at least one symplectic pair")
         if self.M < 8 or self.M & (self.M - 1):
@@ -172,7 +173,6 @@ def from_modes(spec: GridSpec, coeffs: np.ndarray) -> GridFunction:
 # direct quadrature path
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
 def _direct_kernels(spec: GridSpec) -> list[np.ndarray]:
     """E-matrices coupling each v-axis to its conjugate u-axis.
 
@@ -229,7 +229,6 @@ def moyal_direct(f: GridFunction, g: GridFunction,
 # fast path: plane-wave decomposition in the momentum axis
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=16)
 def _dressing_phase(spec: GridSpec) -> np.ndarray:
     """P[kq, kp] = exp(i (theta/2) xi_q(kq) xi_p(kp)) for the n=1 fast path."""
     xq = spec.modes(0)
@@ -277,7 +276,7 @@ def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray, spec: GridSpec) -> np.n
 def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
     """Full-grid star product via plane-wave decomposition.
 
-    n=1 runs the mixed-representation path directly.  For n=2 the product
+    n=1 is moyal_fast_many on the one pair (f, g).  For n=2 the product
     kernel factors over the two symplectic pairs, so the pair law
         (sum_a u_a x v_a) * (sum_b u'_b x v'_b)
             = sum_{a,b} (u_a * u'_b) x (v_a * v'_b)
@@ -289,10 +288,7 @@ def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
     """
     spec = _same_spec(f, g)
     if spec.n == 1:
-        fh = to_modes(f)[None, :, :]
-        gh = to_modes(g)[None, :, :]
-        out = _fast_pairs_2d(fh, gh, spec)[0]
-        return GridFunction(spec, out)
+        return moyal_fast_many([f], [g])[0]
     if spec.n == 2:
         return _fast_4d(f, g)
     raise ResourceError("fast path supports n <= 2")
@@ -423,7 +419,7 @@ def symplectic_fourier(f: GridFunction, side: Side = "left") -> GridFunction:
     if spec.n != 1:
         raise SpecMismatch("symplectic Fourier transform is wired for n=1")
     if side not in ("left", "right"):
-        raise SpecMismatch(f"side must be left or right, got {side!r}")
+        raise InvalidArgument(f"side must be left or right, got {side!r}")
     sgn = 1.0 if side == "left" else -1.0
     th = spec.theta
     xq, xp = spec.axis(0), spec.axis(1)
@@ -445,7 +441,7 @@ def translation_multiplier(x0: Sequence[float], f: GridFunction,
     """
     spec = f.spec
     if side not in ("left", "right"):
-        raise SpecMismatch(f"side must be left or right, got {side!r}")
+        raise InvalidArgument(f"side must be left or right, got {side!r}")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2 * spec.n,):
         raise SpecMismatch(f"translation needs {2 * spec.n} components")

@@ -81,11 +81,17 @@ def coordinate_function(spec: GridSpec, j: int, windowed: bool = True) -> GridFu
     return GridFunction(spec, samples)
 
 
+def _check_orders(orders: Sequence[int]) -> None:
+    if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in orders):
+        raise SpecMismatch(f"orders must be nonnegative integers, got {tuple(orders)}")
+
+
 def spectral_derivative(f: GridFunction, orders: Sequence[int]) -> GridFunction:
     """d^orders f by multiplying (i xi)^k on the modes."""
     spec = f.spec
     if len(orders) != 2 * spec.n:
         raise SpecMismatch(f"need {2 * spec.n} derivative orders")
+    _check_orders(orders)
     coeffs = to_modes(f)
     for ax, k in enumerate(orders):
         if k == 0:
@@ -171,8 +177,7 @@ def sobolev_norm(f: GridFunction, k: int) -> float:
     The generator words (L_{e_i} - R_{e_i}) reduce to i theta times single
     derivatives, so every word of length m is theta^m d^beta with |beta| = m.
     """
-    if k < 0:
-        raise SpecMismatch("word length must be nonnegative")
+    _check_orders([k])
     spec = f.spec
     best = 0.0
     for total in range(k + 1):
@@ -184,6 +189,7 @@ def sobolev_norm(f: GridFunction, k: int) -> float:
 
 def classical_sobolev_norm(f: GridFunction, k: int) -> float:
     """Unscaled H^k norm (sum over derivatives), for ratio reporting."""
+    _check_orders([k])
     spec = f.spec
     acc = 0.0
     for total in range(k + 1):
@@ -195,10 +201,9 @@ def classical_sobolev_norm(f: GridFunction, k: int) -> float:
 def schwartz_seminorm(f: GridFunction, alpha: Sequence[int], beta: Sequence[int]) -> float:
     """L^2 norm of x^alpha d^beta f via spectral differentiation."""
     spec = f.spec
-    alpha = tuple(int(a) for a in alpha)
-    beta = tuple(int(b) for b in beta)
     if len(alpha) != 2 * spec.n or len(beta) != 2 * spec.n:
         raise SpecMismatch(f"multi-indices must have {2 * spec.n} entries")
+    _check_orders(tuple(alpha) + tuple(beta))
     if sum(alpha) > 4 or sum(beta) > 4:
         raise SpecMismatch("seminorm orders above 4 are not calibrated")
     out = spectral_derivative(f, beta).samples

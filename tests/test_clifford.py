@@ -108,6 +108,16 @@ def test_unit_acts_trivially(rng):
 def test_rank_mismatch_rejected():
     with pytest.raises(SpecMismatch):
         clifford.clifford_product(clifford.unit(1), clifford.unit(2))
+    # ranks below one, refused before any table or shift is built
+    for m in (0, -1):
+        with pytest.raises(SpecMismatch):
+            clifford.unit(m)
+        with pytest.raises(SpecMismatch):
+            clifford.blade(m, 0)
+        with pytest.raises(SpecMismatch):
+            clifford.CliffordElement(m, np.ones(1))
+        with pytest.raises(SpecMismatch):
+            clifford.as_hilbert_algebra(m)
 
 
 def test_involution_and_trace_closed_forms():

@@ -20,7 +20,7 @@ from scipy.sparse import csgraph
 
 from hdqkit import clifford, hilbert
 from hdqkit.errors import (HdqError, InvalidArgument, InvalidGram, NotIsomorphism, NotUnitary,
-                           ParseError, ResourceError)
+                           ParseError, ResourceError, SpecMismatch, StructureError)
 
 
 # ---------------------------------------------------------------------------
@@ -484,22 +484,47 @@ def test_cyclic_group_solver_splits_by_residue(n):
     assert max(p.defect for p in pairs) <= 2e-16
 
 
-def test_solver_gates_defect_tensor_size():
-    # the all-zero d = 33 algebra has 2 * 33² = 2178 pairs, whose defect
-    # residuals need 2178 * 33³ ~ 7.8e7 entries (1.25 GB per temporary); the
-    # peak before the gate trips, the normal matrix and the null rows, measured
-    # 165 MiB, and the bound is 1.3 times that
+def test_degenerate_solver_measures_defects_pair_by_pair():
+    # the all-zero d = 33 algebra has 2 * 33² = 2178 pairs; their defects are
+    # measured one (d, d, d) residual at a time, so the peak is set by the
+    # normal matrix and the null rows: measured 181 MiB, under the 215 MiB
+    # bound that held when a gate refused the batched (2178, d, d, d) residual
     d = 33
     zero = np.zeros((d, d, d), dtype=complex)
     alg = hilbert.FiniteHilbertAlgebra(zero, np.eye(d), np.eye(d), name="zero")
     tracemalloc.start()
     try:
-        with pytest.raises(ResourceError):
-            hilbert.solve_multipliers(alg)
+        pairs = hilbert.solve_multipliers(alg)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
+    assert len(pairs) == 2 * d * d
+    assert all(p.defect == 0.0 for p in pairs)
     assert peak < 215 << 20
+
+
+@st.composite
+def defect_stacks(draw):
+    """A small test algebra (d <= 4), optionally in a Haar basis, and random
+    (p, d, d) stacks of lefts and rights."""
+    alg = oracle_algebra(draw(st.sampled_from(["mat1", "c2", "c3", "c4", "mat2", "zero4"])),
+                         draw(st.booleans()))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    shape = (draw(st.integers(0, 4)), alg.dim, alg.dim)
+    lefts = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    rights = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    return alg, lefts, rights
+
+
+@given(defect_stacks())
+@settings(derandomize=True, max_examples=40, deadline=None)
+def test_pair_defects_match_loop_oracle(case):
+    # measured floor over 600 random pairs: 5.3e-16 relative
+    alg, lefts, rights = case
+    got = hilbert._pair_defects(alg, lefts, rights)
+    want = np.array([pair_defect(alg, lm, rm) for lm, rm in zip(lefts, rights)])
+    assert got.shape == want.shape
+    assert np.all(np.abs(got - want) <= 2e-15 * want)
 
 
 def test_pair_product_and_adjoint_stay_multipliers(s3):
@@ -1114,3 +1139,16 @@ def test_bad_choices_raise_hdq_errors(m2):
         hilbert.full_matrix_algebra(0)
     with pytest.raises(ParseError):
         hilbert.group_algebra(np.zeros((0, 0), dtype=int))
+    # non-finite entries in any of the three arrays
+    for part in range(3):
+        data = [m2.structure.copy(), m2.involution.copy(), m2.gram.copy()]
+        data[part].flat[1] = np.nan
+        with pytest.raises(StructureError):
+            hilbert.FiniteHilbertAlgebra(*data)
+    # generators that are not ambient_dim x ambient_dim, which a reshape
+    # would split or reject with a numpy error
+    for mats in ([np.arange(16.0).reshape(4, 4)], [np.eye(3)], [np.eye(2), np.ones(4)]):
+        with pytest.raises(SpecMismatch):
+            hilbert.commutant(mats, 2)
+        with pytest.raises(SpecMismatch):
+            hilbert.OperatorSubspace.from_matrices(mats, 2)

@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
-from hdqkit.errors import NotSquareIntegrable, ResourceError, SpecMismatch, TruncationError
+from hdqkit.errors import (InvalidArgument, NotSquareIntegrable, ResourceError, SpecMismatch,
+                           TruncationError)
 from hdqkit.matrix_basis import (
     MatrixSymbol,
     basis_unit,
@@ -350,8 +351,10 @@ def test_gbv_input_checks(rng):
     sym = random_symbol(3, rng)
     with pytest.raises(SpecMismatch):
         gbv_norm(sym, -1, 0)
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(InvalidArgument):
         gbv_norm(sym, 0, 0, mode="weighted")
+    with pytest.raises(InvalidArgument):
+        ladder_matrix(3, 5)
 
 
 def test_ladder_matrix_entries():

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hdqkit import moyal
-from hdqkit.errors import QuadratureError, ResourceError, SpecMismatch
+from hdqkit.errors import InvalidArgument, QuadratureError, ResourceError, SpecMismatch
 from hdqkit.moyal import (
     GridFunction,
     GridSpec,
@@ -124,6 +124,10 @@ def test_spec_rejects_bad_sizes():
         GridSpec(n=1, L=(1.0, 2.0, 3.0))
     with pytest.raises(SpecMismatch):
         GridSpec(n=0)
+    # integer-valued floats too: n and M count axes and points
+    for bad in ({"M": 8.0}, {"M": 64.0}, {"n": 1.5}, {"n": 1.0}):
+        with pytest.raises(SpecMismatch):
+            GridSpec(**bad)
     # a NaN compares False with 0, so only a finiteness check refuses it
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(SpecMismatch):
@@ -409,7 +413,7 @@ def test_fourier_left_right_is_parity(spec64, rng):
 
 
 def test_fourier_rejects_bad_side(spec64):
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(InvalidArgument):
         symplectic_fourier(closed_basis(spec64, 0, 0), "up")
 
 
@@ -449,7 +453,7 @@ def test_translation_multiplier_identity(spec64, rng):
 def test_translation_checks_arity(spec64):
     with pytest.raises(SpecMismatch):
         translation_multiplier((1.0,), closed_basis(spec64, 0, 0), "left")
-    with pytest.raises(SpecMismatch):
+    with pytest.raises(InvalidArgument):
         translation_multiplier((0.0, 0.0), closed_basis(spec64, 0, 0), "sideways")
 
 

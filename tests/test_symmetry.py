@@ -130,6 +130,10 @@ def test_spectral_derivative_ground(spec128):
 def test_spectral_derivative_arity(spec128):
     with pytest.raises(SpecMismatch):
         spectral_derivative(gauss_ground(spec128), (1,))
+    # negative or fractional orders, refused before any mode is scaled
+    for orders in ((-1, 0), (0, 0.5)):
+        with pytest.raises(SpecMismatch):
+            spectral_derivative(gauss_ground(spec128), orders)
 
 
 # ---------------------------------------------------------------------------
@@ -176,6 +180,11 @@ def test_sobolev_monotone(spec128, rng):
 def test_sobolev_negative_k(spec128):
     with pytest.raises(SpecMismatch):
         sobolev_norm(gauss_ground(spec128), -1)
+    with pytest.raises(SpecMismatch):
+        sobolev_norm(gauss_ground(spec128), 1.5)
+    for k in (1.5, -1):
+        with pytest.raises(SpecMismatch):
+            classical_sobolev_norm(gauss_ground(spec128), k)
 
 
 def test_sobolev_classical_ratio(spec128, rng):
@@ -206,6 +215,10 @@ def test_schwartz_order_cap(spec128):
         schwartz_seminorm(f, (0, 0), (5, 0))
     with pytest.raises(SpecMismatch):
         schwartz_seminorm(f, (0,), (0, 0))
+    with pytest.raises(SpecMismatch):
+        schwartz_seminorm(f, (-1, 0), (0, 0))
+    with pytest.raises(SpecMismatch):
+        schwartz_seminorm(f, (0, 0), (0, -2))
 
 
 def test_schwartz_plane_wave_grows_with_box():
