@@ -113,6 +113,7 @@ def _from_matrix(m: int, mat: np.ndarray) -> np.ndarray:
 
 def blade_product(mask_i: int, mask_j: int, m: int) -> tuple[int, int]:
     """Sign and target mask of xi_I xi_J, both as plain ints."""
+    _check_rank(m)
     n = 2 * m
     if mask_i >> n or mask_j >> n:
         raise SpecMismatch(f"blade mask out of range for m={m}")
@@ -124,8 +125,8 @@ def blade_product(mask_i: int, mask_j: int, m: int) -> tuple[int, int]:
 
 
 def _check_rank(m: int) -> None:
-    if m < 1:
-        raise SpecMismatch(f"need at least one generator pair, got m={m}")
+    if not isinstance(m, (int, np.integer)) or m < 1:
+        raise SpecMismatch(f"need a whole number m >= 1 of generator pairs, got m={m!r}")
 
 
 @dataclass
@@ -253,7 +254,8 @@ def verify_unital_multipliers(m: int) -> dict[str, Any]:
     reach.  m >= 4 raises SpecMismatch: its solver normal, (2 * 16^m)^2
     entries, is far above `errors.gate`.
     """
-    if not 1 <= m <= _VERIFY_MAX_M:
+    _check_rank(m)
+    if m > _VERIFY_MAX_M:
         raise SpecMismatch(f"multiplier verification supports 1 <= m <= {_VERIFY_MAX_M}")
     d = 1 << (2 * m)
     report: dict[str, Any] = {"m": m, "expected_dim": d}

@@ -38,10 +38,6 @@ class TruncationError(HdqError):
     """The grid does not resolve the requested matrix truncation."""
 
 
-class NotSquareIntegrable(HdqError):
-    """A symbol with a unit component cannot be synthesized on a grid."""
-
-
 class QuadratureError(HdqError):
     """A quadrature failed its convergence/tail bound."""
 

@@ -32,6 +32,11 @@ for the supported range. `errors.gate` raises a ResourceError before a
 normal matrix over `errors.MAX_ENTRIES` entries would be needed, or a tensor
 product or an example's structure tensor over that size is built.
 
+scipy.linalg (Cholesky factors, triangular solves, `orth`, the tridiagonal
+eigensolver) is imported inside the functions that call it, so importing
+this module, or the phase-space modules, which need only numpy, does not
+load it; it loads on the first factorization.
+
 Conventions
 -----------
 * basis products:  e_i e_j = sum_k c[i,j,k] e_k
@@ -47,8 +52,6 @@ from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Literal
 
 import numpy as np
-import scipy.linalg as sla
-from scipy.linalg import blas
 
 from .errors import (InvalidArgument, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
                      SpecMismatch, StructureError, gate)
@@ -127,6 +130,8 @@ class FiniteHilbertAlgebra:
 
     def frame(self) -> np.ndarray:
         """Matrix W with G = W†W; rows give an orthonormal coordinate frame."""
+        import scipy.linalg as sla
+
         try:
             chol = sla.cholesky(self.gram, lower=False)
         except sla.LinAlgError as exc:  # pragma: no cover - guarded by validate
@@ -202,6 +207,8 @@ class OperatorSubspace:
 
     @staticmethod
     def from_matrices(mats: Iterable[np.ndarray], ambient_dim: int) -> "OperatorSubspace":
+        import scipy.linalg as sla
+
         stack = _matrix_stack(mats, ambient_dim).reshape(-1, ambient_dim ** 2)
         if stack.size == 0:
             return OperatorSubspace(ambient_dim, np.zeros((0, ambient_dim, ambient_dim)))
@@ -333,6 +340,8 @@ class _DenseBlock:
 
     def shifted_solver(self, cut: float) -> Callable[[np.ndarray], np.ndarray]:
         """Solve with mat + cut·I, factored once."""
+        import scipy.linalg as sla
+
         # the block is Hermitian, so conj(mat)ᵀ is a Fortran-ordered copy LAPACK factors in place
         shifted = np.conj(self.mat).T
         shifted.flat[::self.size + 1] += cut
@@ -368,6 +377,8 @@ class _MultiplierNormal:
 
     def shifted_solver(self, cut: float) -> Callable[[np.ndarray], np.ndarray]:
         """Solve with block + cut·I through the block Cholesky factor."""
+        import scipy.linalg as sla
+
         p, q, d, top = len(self.x), len(self.y), self.d, self.top
         lx = sla.cholesky(self.x + cut * np.eye(p), lower=True, check_finite=False)
         g = sla.solve_triangular(lx, self.b.reshape(p, -1), lower=True,
@@ -375,7 +386,7 @@ class _MultiplierNormal:
         # zherk on the Fortran-ordered view gᵀ computes gᵀ conj(g) without a copy;
         # its transpose is GᴴG with the upper triangle filled, all chol reads
         schur = np.kron(self.y + cut * np.eye(q), np.eye(d))
-        schur -= blas.zherk(1.0, g.T, lower=1).T
+        schur -= sla.blas.zherk(1.0, g.T, lower=1).T
         u = sla.cholesky(schur, lower=False, overwrite_a=True, check_finite=False)  # L_S = Uᴴ
 
         def solve(v: np.ndarray) -> np.ndarray:
@@ -408,6 +419,8 @@ def _top_eigenvalue(block: _Block) -> float:
     vector is orthogonal to its eigenspace), or at step n, where it is exact.
     A 1 × 1 block is its own eigenvalue.
     """
+    import scipy.linalg as sla
+
     n = block.size
     if n == 1:
         return float(block.apply(np.ones((1, 1)))[0, 0].real)
@@ -595,17 +608,6 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     rights = winv @ null[:, dd:].reshape(-1, d, d) @ w
     defects = _pair_defects(alg, lefts, rights)
     return [MultiplierPair(lm, rm, float(e)) for lm, rm, e in zip(lefts, rights, defects)]
-
-
-def pair_adjoint(alg: FiniteHilbertAlgebra, pair: MultiplierPair) -> MultiplierPair:
-    """Adjoint multiplier (L*, R*), adjoints taken against the gram."""
-    g = alg.gram
-    ginv = np.linalg.inv(g)
-
-    def adj(a: np.ndarray) -> np.ndarray:
-        return ginv @ a.conj().T @ g
-
-    return MultiplierPair(adj(pair.left), adj(pair.right), pair.defect)
 
 
 def _commutant_normal(gens: np.ndarray) -> np.ndarray:
@@ -936,8 +938,14 @@ def group_algebra(table: np.ndarray, name: str = "group") -> FiniteHilbertAlgebr
     return FiniteHilbertAlgebra(c, s, np.eye(n), name=name)
 
 
+def _check_size(n: Any, what: str) -> None:
+    if not isinstance(n, (int, np.integer)):
+        raise SpecMismatch(f"{what} must be an integer, got {n!r}")
+
+
 def full_matrix_algebra(n: int) -> FiniteHilbertAlgebra:
     """n x n matrices with <a,b> = tr(a* b), in the matrix-unit basis."""
+    _check_size(n, "matrix size")
     if n < 1:
         raise InvalidArgument(f"matrix size must be at least 1, got {n}")
     d = n * n
@@ -964,9 +972,10 @@ def example_algebra(kind: str, **params: Any) -> FiniteHilbertAlgebra:
     kinds: 'full_matrix' (n), 'cyclic_group' (n), 's3'.
     """
     if kind == "full_matrix":
-        return full_matrix_algebra(int(params.get("n", 2)))
+        return full_matrix_algebra(params.get("n", 2))
     if kind == "cyclic_group":
-        n = int(params.get("n", 3))
+        n = params.get("n", 3)
+        _check_size(n, "group order")
         if n < 1:
             raise InvalidArgument(f"group order must be at least 1, got {n}")
         return group_algebra(_cyclic_table(n), name=f"c{n}")

@@ -41,9 +41,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
 
-from .errors import InvalidArgument, NotSquareIntegrable, SpecMismatch, TruncationError, gate
+from .errors import InvalidArgument, SpecMismatch, TruncationError, gate
 from .moyal import GridFunction, GridSpec
 
 # The Gram error of the sampled Hermite functions bounds the transforms'
@@ -200,18 +199,6 @@ def basis_unit(trunc: int, theta: float, m: int, n: int) -> MatrixSymbol:
     return MatrixSymbol(trunc, theta, coeffs)
 
 
-def matrix_unit(trunc: int, theta: float) -> MatrixSymbol:
-    """Unit of the truncated matrix model (identity coefficients)."""
-    return MatrixSymbol(trunc, theta, np.eye(trunc, dtype=complex))
-
-
-def synthesize_unit(cache: BasisCache) -> GridFunction:
-    """Refused: the unit sum_m b_mm is a multiplier, not an L^2 element."""
-    raise NotSquareIntegrable(
-        "the unit symbol has no square-integrable representative; "
-        "keep it at the matrix level via matrix_unit")
-
-
 def ladder_matrix(which: int, trunc: int) -> np.ndarray:
     """Coefficient matrices of the coordinate symbols z1, z2.
 
@@ -260,15 +247,6 @@ def gbv_norm(sym: MatrixSymbol, k: int, l: int, mode: str = "usual") -> float:
 
 def matrix_star_exp(f: MatrixSymbol, s: complex = 1.0) -> MatrixSymbol:
     """Star-exponential exp(s f) on the matrix model."""
+    from scipy.linalg import expm
+
     return MatrixSymbol(f.trunc, f.theta, expm(s * f.coeffs))
-
-
-def split_unital(sym: MatrixSymbol) -> tuple[complex, MatrixSymbol]:
-    """Write sym = c 1 + rest with c read off the deepest diagonal entry.
-
-    Meaningful when the non-unital part is supported strictly inside the
-    truncation, as for star-exponentials of low-index symbols.
-    """
-    c = complex(sym.coeffs[-1, -1])
-    return c, MatrixSymbol(sym.trunc, sym.theta,
-                           sym.coeffs - c * np.eye(sym.trunc))

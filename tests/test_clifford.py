@@ -108,8 +108,8 @@ def test_unit_acts_trivially(rng):
 def test_rank_mismatch_rejected():
     with pytest.raises(SpecMismatch):
         clifford.clifford_product(clifford.unit(1), clifford.unit(2))
-    # ranks below one, refused before any table or shift is built
-    for m in (0, -1):
+    # ranks below one or not whole, refused before any table or shift is built
+    for m in (0, -1, 1.5):
         with pytest.raises(SpecMismatch):
             clifford.unit(m)
         with pytest.raises(SpecMismatch):
@@ -118,6 +118,11 @@ def test_rank_mismatch_rejected():
             clifford.CliffordElement(m, np.ones(1))
         with pytest.raises(SpecMismatch):
             clifford.as_hilbert_algebra(m)
+        with pytest.raises(SpecMismatch):
+            clifford.blade_product(0, 0, m)
+        with pytest.raises(SpecMismatch):
+            clifford.verify_unital_multipliers(m)
+    assert clifford.blade_product(1, 2, np.int64(1)) == (1, 3)
 
 
 def test_involution_and_trace_closed_forms():

@@ -12,6 +12,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import sparse
@@ -527,12 +528,10 @@ def test_pair_defects_match_loop_oracle(case):
     assert np.all(np.abs(got - want) <= 2e-15 * want)
 
 
-def test_pair_product_and_adjoint_stay_multipliers(s3):
+def test_pair_product_stays_a_multiplier(s3):
     pairs = hilbert.solve_multipliers(s3)
     prod = pairs[1] @ pairs[3]
     assert pair_defect(s3, prod.left, prod.right) <= 1e-13
-    adj = hilbert.pair_adjoint(s3, pairs[2])
-    assert pair_defect(s3, adj.left, adj.right) <= 1e-13
 
 
 # ---------------------------------------------------------------------------
@@ -656,7 +655,7 @@ def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
             return solver(a, *args, **kwargs)
         return wrapped
 
-    for module, name in [(hilbert.sla, "eigh"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")]:
+    for module, name in [(scipy.linalg, "eigh"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")]:
         monkeypatch.setattr(module, name, recording(getattr(module, name)))
     blocks = []
     kernel = hilbert._block_null_vectors
@@ -1121,6 +1120,17 @@ def test_group_table_entries_outside_the_group_raise():
 def test_example_algebra_rejects_unknown_kind():
     with pytest.raises(ValueError):
         hilbert.example_algebra("octonions")
+
+
+def test_example_algebra_rejects_non_integer_sizes():
+    # truncating with int() would build another algebra: 2.5 -> mat2, 3.7 -> c3
+    for kind in ("full_matrix", "cyclic_group"):
+        for n in (2.5, 3.7, 2.0):
+            with pytest.raises(SpecMismatch):
+                hilbert.example_algebra(kind, n=n)
+    with pytest.raises(SpecMismatch):
+        hilbert.full_matrix_algebra(2.5)
+    assert hilbert.example_algebra("cyclic_group", n=np.int64(3)).dim == 3
 
 
 def test_bad_choices_raise_hdq_errors(m2):

@@ -9,9 +9,13 @@ import sys
 import hdqkit
 
 
-def _loaded(imports: str, prefix: str) -> str:
-    """Sorted names under `prefix` in sys.modules after `imports`, in a fresh interpreter."""
-    code = (f"import sys, {imports}; "
+_ALL_MODULES = "hdqkit.hilbert, hdqkit.clifford, hdqkit.moyal, hdqkit.matrix_basis, hdqkit.symmetry"
+
+
+def _loaded(imports: str, prefix: str, run: str = "") -> str:
+    """Sorted names under `prefix` in sys.modules after `imports` and then `run`,
+    in a fresh interpreter."""
+    code = (f"import sys, {imports}\n{run}\n"
             f"print(sorted(m for m in sys.modules if m.startswith({prefix!r})))")
     src = os.path.dirname(os.path.dirname(os.path.abspath(hdqkit.__file__)))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -25,11 +29,28 @@ def test_import_loads_no_scipy_sparse():
     # the package uses only dense scipy.linalg; on top of it, scipy.sparse
     # adds about 1.7 MB of peak RSS to every importer, and with its linalg
     # and csgraph about 4.8 MB (Python 3.11, scipy 1.17)
-    assert _loaded("hdqkit.hilbert, hdqkit.clifford, hdqkit.moyal, hdqkit.matrix_basis, "
-                   "hdqkit.symmetry", "scipy.sparse") == "[]"
+    assert _loaded(_ALL_MODULES, "scipy.sparse") == "[]"
 
 
 def test_algebra_modules_load_no_phase_space_module():
     # the memory gate lives in hdqkit.errors, so the algebra side of the kit
     # does not depend on the phase-space grids
     assert _loaded("hdqkit.hilbert, hdqkit.clifford", "hdqkit.moyal") == "[]"
+
+
+def test_phase_space_work_loads_no_scipy_linalg():
+    # only factorizations and matrix_star_exp import scipy.linalg, which costs
+    # about 0.35 s and 28 MB of peak RSS (Python 3.11, scipy 1.17)
+    run = """
+import numpy as np
+from hdqkit.matrix_basis import MatrixSymbol, synthesize_basis, transform
+from hdqkit.moyal import GridFunction, GridSpec, moyal_fast
+spec = GridSpec(M=64, L=8.0)
+sym = MatrixSymbol(2, spec.theta, np.arange(4.0).reshape(2, 2) + 1j)
+cache = synthesize_basis(spec, 2)
+assert np.abs(transform(transform(sym, cache), cache).coeffs - sym.coeffs).max() < 1e-12
+small = GridSpec(M=8)
+f = GridFunction(small, np.ones(small.shape))
+assert np.isfinite(moyal_fast(f, f).samples).all()
+"""
+    assert _loaded(_ALL_MODULES, "scipy.linalg", run) == "[]"

@@ -8,8 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.special import eval_genlaguerre, gammaln
 
-from hdqkit.errors import (InvalidArgument, NotSquareIntegrable, ResourceError, SpecMismatch,
-                           TruncationError)
+from hdqkit.errors import InvalidArgument, ResourceError, SpecMismatch, TruncationError
 from hdqkit.matrix_basis import (
     MatrixSymbol,
     basis_unit,
@@ -17,12 +16,8 @@ from hdqkit.matrix_basis import (
     ladder_matrix,
     matrix_product_oracle,
     matrix_star_exp,
-    matrix_unit,
-    split_unital,
     synthesize_basis,
-    synthesize_unit,
     transform,
-    split_unital as _split,  # noqa: F401  (alias exercised below)
 )
 from hdqkit.moyal import GridFunction, GridSpec, integrate, moyal_fast
 
@@ -419,18 +414,3 @@ def test_star_exp_group_law(rng):
     a = matrix_star_exp(f, 0.3)
     b = matrix_star_exp(f, -0.3)
     assert np.max(np.abs((a.coeffs @ b.coeffs) - np.eye(5))) < 1e-12
-
-
-def test_split_unital_of_idempotent_exp():
-    s = 0.25
-    got = matrix_star_exp(basis_unit(6, THETA, 0, 0), s)
-    c, rest = split_unital(got)
-    assert c == pytest.approx(1.0, abs=1e-12)
-    want = (np.exp(s) - 1.0) * basis_unit(6, THETA, 0, 0).coeffs
-    assert np.max(np.abs(rest.coeffs - want)) < 1e-12
-
-
-def test_unit_symbol_refuses_grid(cache):
-    assert np.array_equal(matrix_unit(4, THETA).coeffs, np.eye(4))
-    with pytest.raises(NotSquareIntegrable):
-        synthesize_unit(cache)
