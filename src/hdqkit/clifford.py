@@ -31,10 +31,11 @@ from typing import Any
 
 import numpy as np
 
-from .errors import SpecMismatch, gate
+from .errors import SpecMismatch, gate, whole
 from .hilbert import FiniteHilbertAlgebra, regular_representation, solve_multipliers
 
 _VERIFY_MAX_M = 3
+_RANK = "number m of generator pairs"
 
 _PHASES = np.array([1, 1j, -1, -1j])  # i^e
 
@@ -113,20 +114,14 @@ def _from_matrix(m: int, mat: np.ndarray) -> np.ndarray:
 
 def blade_product(mask_i: int, mask_j: int, m: int) -> tuple[int, int]:
     """Sign and target mask of xi_I xi_J, both as plain ints."""
-    _check_rank(m)
-    n = 2 * m
-    if mask_i >> n or mask_j >> n:
+    n = 2 * whole(m, _RANK, 1)
+    if whole(mask_i, "blade mask", 0) >> n or whole(mask_j, "blade mask", 0) >> n:
         raise SpecMismatch(f"blade mask out of range for m={m}")
     swaps = 0
     for k in range(n):
         if mask_i >> k & 1:
             swaps += bin(mask_j & ((1 << k) - 1)).count("1")
     return (-1 if swaps & 1 else 1), mask_i ^ mask_j
-
-
-def _check_rank(m: int) -> None:
-    if not isinstance(m, (int, np.integer)) or m < 1:
-        raise SpecMismatch(f"need a whole number m >= 1 of generator pairs, got m={m!r}")
 
 
 @dataclass
@@ -137,7 +132,7 @@ class CliffordElement:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        _check_rank(self.m)
+        whole(self.m, _RANK, 1)
         d = 1 << (2 * self.m)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (d,):
@@ -160,10 +155,9 @@ class CliffordElement:
 
 
 def blade(m: int, mask: int) -> CliffordElement:
-    _check_rank(m)
-    d = 1 << (2 * m)
+    d = 1 << (2 * whole(m, _RANK, 1))
     gate(d, f"blade of Cl({2 * m})")
-    if not 0 <= mask < d:
+    if whole(mask, "blade mask", 0) >= d:
         raise SpecMismatch(f"blade mask {mask} out of range for Cl({2 * m})")
     coeffs = np.zeros(d, dtype=complex)
     coeffs[mask] = 1.0
@@ -196,8 +190,7 @@ def inner(x: CliffordElement, y: CliffordElement) -> complex:
 
 def as_hilbert_algebra(m: int) -> FiniteHilbertAlgebra:
     """Dense export of Cl(2m) into the finite Hilbert-algebra format."""
-    _check_rank(m)
-    d = 1 << (2 * m)
+    d = 1 << (2 * whole(m, _RANK, 1))
     gate(d ** 3, f"dense structure constants of Cl({2 * m})")
     sgn = _sign_table(m)
     structure = np.zeros((d, d, d), dtype=complex)
@@ -254,8 +247,7 @@ def verify_unital_multipliers(m: int) -> dict[str, Any]:
     reach.  m >= 4 raises SpecMismatch: its solver normal, (2 * 16^m)^2
     entries, is far above `errors.gate`.
     """
-    _check_rank(m)
-    if m > _VERIFY_MAX_M:
+    if whole(m, _RANK, 1) > _VERIFY_MAX_M:
         raise SpecMismatch(f"multiplier verification supports 1 <= m <= {_VERIFY_MAX_M}")
     d = 1 << (2 * m)
     report: dict[str, Any] = {"m": m, "expected_dim": d}

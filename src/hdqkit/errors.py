@@ -1,11 +1,22 @@
-"""Exception types shared across the kit, and its one memory gate.
+"""Exception types shared across the kit, its one memory gate and its argument rule.
 
 Every error raised on purpose by the library derives from HdqError so CLI
 code can map failures to exit status 2 without enumerating modules. Every
 dense allocation whose size follows from the caller's input is checked by
 `gate` before it happens: one limit of MAX_ENTRIES array entries (1 GiB of
 complex128) for the whole kit.
+
+Arguments follow one rule. Every count, size, order, rank, index and
+exponent goes through `whole`: anything but an int or numpy integer at
+least as large as its least value, a bool included, raises SpecMismatch.
+Every option value goes through `choice`: a value outside its options
+raises InvalidArgument. The site keeps any upper bound of its own.
 """
+
+from collections.abc import Hashable
+from typing import Any
+
+import numpy as np
 
 MAX_ENTRIES = 1 << 26
 
@@ -58,3 +69,20 @@ class InvalidArgument(HdqError, ValueError):
 
 class ParseError(HdqError):
     """A file or config payload does not match the documented format."""
+
+
+def whole(value: Any, what: str, least: int) -> int:
+    """`value` as an int; SpecMismatch unless it is a whole number >= least.
+
+    A bool is refused although Python counts True as an int; np.bool_ is no
+    integer type at all.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise SpecMismatch(f"{what} must be a whole number >= {least}, got {value!r}")
+    return int(value)
+
+
+def choice(value: Any, options: tuple[Any, ...], what: str) -> None:
+    """Raise InvalidArgument unless `value` is one of `options`; a bool never is."""
+    if isinstance(value, bool) or not isinstance(value, Hashable) or value not in options:
+        raise InvalidArgument(f"{what} must be one of {options}, got {value!r}")

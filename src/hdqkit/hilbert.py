@@ -53,8 +53,8 @@ from typing import Any, Callable, Iterable, Literal
 
 import numpy as np
 
-from .errors import (InvalidArgument, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
-                     SpecMismatch, StructureError, gate)
+from .errors import (InvalidGram, NotIsomorphism, NotUnitary, ParseError, SpecMismatch,
+                     StructureError, choice, gate, whole)
 
 __all__ = [
     "FiniteHilbertAlgebra",
@@ -219,6 +219,7 @@ class OperatorSubspace:
 
 def _matrix_stack(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
     """The matrices as a (k, dim, dim) complex stack; SpecMismatch unless each is dim x dim."""
+    whole(dim, "ambient dimension", 1)
     stack = [np.asarray(m, dtype=complex) for m in mats]
     for m in stack:
         if m.shape != (dim, dim):
@@ -233,12 +234,11 @@ def _matrix_stack(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
 def regular_representation(alg: FiniteHilbertAlgebra, x: np.ndarray,
                            side: Side = "left") -> np.ndarray:
     """Matrix of multiplication by x on coordinates, acting from one side."""
+    choice(side, ("left", "right"), "side")
     x = np.asarray(x, dtype=complex)
     if side == "left":
         return np.einsum("i,ijk->kj", x, alg.structure)
-    if side == "right":
-        return np.einsum("j,ijk->ki", x, alg.structure)
-    raise InvalidArgument(f"side must be 'left' or 'right', got {side!r}")
+    return np.einsum("j,ijk->ki", x, alg.structure)
 
 
 def _check_gram(gram: np.ndarray) -> None:
@@ -773,6 +773,7 @@ def center(alg: FiniteHilbertAlgebra) -> np.ndarray:
 def combine(a: FiniteHilbertAlgebra, b: FiniteHilbertAlgebra,
             mode: Literal["direct_sum", "tensor"]) -> FiniteHilbertAlgebra:
     """Direct sum or tensor product, with the induced involution and Gram."""
+    choice(mode, ("direct_sum", "tensor"), "mode")
     da, db = a.dim, b.dim
     if mode == "direct_sum":
         d = da + db
@@ -786,14 +787,12 @@ def combine(a: FiniteHilbertAlgebra, b: FiniteHilbertAlgebra,
         g[:da, :da] = a.gram
         g[da:, da:] = b.gram
         return FiniteHilbertAlgebra(c, s, g, name=f"{a.name}(+){b.name}")
-    if mode == "tensor":
-        gate((da * db) ** 3, f"tensor product at d={da * db}")
-        c = np.einsum("ikm,jln->ijklmn", a.structure, b.structure)
-        c = c.reshape(da * db, da * db, da * db)
-        s = np.kron(a.involution, b.involution)
-        g = np.kron(a.gram, b.gram)
-        return FiniteHilbertAlgebra(c, s, g, name=f"{a.name}(x){b.name}")
-    raise InvalidArgument(f"mode must be 'direct_sum' or 'tensor', got {mode!r}")
+    gate((da * db) ** 3, f"tensor product at d={da * db}")
+    c = np.einsum("ikm,jln->ijklmn", a.structure, b.structure)
+    c = c.reshape(da * db, da * db, da * db)
+    s = np.kron(a.involution, b.involution)
+    g = np.kron(a.gram, b.gram)
+    return FiniteHilbertAlgebra(c, s, g, name=f"{a.name}(x){b.name}")
 
 
 def change_basis(alg: FiniteHilbertAlgebra, q: np.ndarray) -> FiniteHilbertAlgebra:
@@ -938,16 +937,9 @@ def group_algebra(table: np.ndarray, name: str = "group") -> FiniteHilbertAlgebr
     return FiniteHilbertAlgebra(c, s, np.eye(n), name=name)
 
 
-def _check_size(n: Any, what: str) -> None:
-    if not isinstance(n, (int, np.integer)):
-        raise SpecMismatch(f"{what} must be an integer, got {n!r}")
-
-
 def full_matrix_algebra(n: int) -> FiniteHilbertAlgebra:
     """n x n matrices with <a,b> = tr(a* b), in the matrix-unit basis."""
-    _check_size(n, "matrix size")
-    if n < 1:
-        raise InvalidArgument(f"matrix size must be at least 1, got {n}")
+    n = whole(n, "matrix size", 1)
     d = n * n
     gate(d ** 3, f"structure tensor of mat{n}")
 
@@ -971,14 +963,10 @@ def example_algebra(kind: str, **params: Any) -> FiniteHilbertAlgebra:
 
     kinds: 'full_matrix' (n), 'cyclic_group' (n), 's3'.
     """
+    choice(kind, ("full_matrix", "cyclic_group", "s3"), "algebra kind")
     if kind == "full_matrix":
         return full_matrix_algebra(params.get("n", 2))
     if kind == "cyclic_group":
-        n = params.get("n", 3)
-        _check_size(n, "group order")
-        if n < 1:
-            raise InvalidArgument(f"group order must be at least 1, got {n}")
+        n = whole(params.get("n", 3), "group order", 1)
         return group_algebra(_cyclic_table(n), name=f"c{n}")
-    if kind == "s3":
-        return group_algebra(_s3_table(), name="s3")
-    raise InvalidArgument(f"unknown algebra kind {kind!r}")
+    return group_algebra(_s3_table(), name="s3")

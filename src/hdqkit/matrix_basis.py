@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidArgument, SpecMismatch, TruncationError, gate
+from .errors import SpecMismatch, TruncationError, choice, gate, whole
 from .moyal import GridFunction, GridSpec
 
 # The Gram error of the sampled Hermite functions bounds the transforms'
@@ -59,6 +59,7 @@ class MatrixSymbol:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
+        whole(self.trunc, "truncation", 1)
         self.coeffs = np.asarray(self.coeffs, dtype=complex)
         if self.coeffs.shape != (self.trunc, self.trunc):
             raise SpecMismatch(
@@ -112,9 +113,7 @@ def synthesize_basis(spec: GridSpec, trunc: int) -> BasisCache:
     """Sample the Hermite factors of b_mn, m, n < trunc, on the grid."""
     if spec.n != 1:
         raise SpecMismatch("the matrix basis is a one-pair construction")
-    if trunc < 1:
-        raise SpecMismatch("truncation must be at least 1")
-    count = 2 * trunc - 1
+    count = 2 * whole(trunc, "truncation", 1) - 1
     gate(2 * spec.M * count + trunc * (count + 1) ** 2,
          f"matrix basis at truncation {trunc}")
     scale = np.sqrt(2.0 / spec.theta)
@@ -192,7 +191,8 @@ def matrix_product_oracle(f: MatrixSymbol, g: MatrixSymbol) -> MatrixSymbol:
 
 def basis_unit(trunc: int, theta: float, m: int, n: int) -> MatrixSymbol:
     """The symbol of b_mn itself: a single unit coefficient."""
-    if not (0 <= m < trunc and 0 <= n < trunc):
+    trunc = whole(trunc, "truncation", 1)
+    if whole(m, "basis index m", 0) >= trunc or whole(n, "basis index n", 0) >= trunc:
         raise SpecMismatch(f"b_{m},{n} lies outside truncation {trunc}")
     coeffs = np.zeros((trunc, trunc), dtype=complex)
     coeffs[m, n] = 1.0
@@ -204,45 +204,29 @@ def ladder_matrix(which: int, trunc: int) -> np.ndarray:
 
     (Z1)_mn = i sqrt(m) d_{m,n+1} and (Z2)_mn = -i sqrt(m+1) d_{m+1,n}.
     """
-    m = np.arange(trunc)
+    choice(which, (1, 2), "ladder index")
+    m = np.arange(whole(trunc, "truncation", 1))
     z = np.zeros((trunc, trunc), dtype=complex)
     if which == 1:
         z[m[1:], m[1:] - 1] = 1j * np.sqrt(m[1:])
-    elif which == 2:
-        z[m[:-1], m[:-1] + 1] = -1j * np.sqrt(m[:-1] + 1)
     else:
-        raise InvalidArgument("ladder index must be 1 or 2")
+        z[m[:-1], m[:-1] + 1] = -1j * np.sqrt(m[:-1] + 1)
     return z
 
 
-def gbv_norm(sym: MatrixSymbol, k: int, l: int, mode: str = "usual") -> float:
+def gbv_norm(sym: MatrixSymbol, k: int, l: int) -> float:
     """Weighted coefficient norm (sum m^k n^l |f_mn|^2)^{1/2}, 0^0 := 1.
 
-    mode="usual" applies the weights directly; mode="operator" realizes the
-    same number through ladder-matrix words (alternating adjoint/plain
-    letters, k on the left and l on the right), which is the generator-word
-    form of the norm.
+    The same number is the norm of a ladder-matrix word (alternating
+    adjoint/plain letters, k on the left and l on the right), the
+    generator-word form of the norm; the tests compare the two.
     """
-    if k < 0 or l < 0:
-        raise SpecMismatch("weights need nonnegative exponents")
-    if mode == "usual":
-        idx = np.arange(sym.trunc, dtype=float)
-        wm = idx ** k if k else np.ones_like(idx)
-        wn = idx ** l if l else np.ones_like(idx)
-        return float(np.sqrt(np.sum(wm[:, None] * wn[None, :]
-                                    * np.abs(sym.coeffs) ** 2)))
-    if mode != "operator":
-        raise InvalidArgument(f"unknown gbv mode {mode!r}")
-    z1 = ladder_matrix(1, sym.trunc)
-    z2 = ladder_matrix(2, sym.trunc)
-    acc = sym.coeffs.copy()
-    # left word: Z1^+ Z1 Z1^+ ... (k letters) gives row weights m^k
-    for i in range(k):
-        acc = (z1.conj().T if i % 2 == 0 else z1) @ acc
-    # right word: ... Z2 Z2^+ with Z2^+ applied first gives column weights n^l
-    for i in range(l):
-        acc = acc @ (z2.conj().T if i % 2 == 0 else z2)
-    return float(np.linalg.norm(acc))
+    k = whole(k, "row exponent k", 0)
+    l = whole(l, "column exponent l", 0)
+    idx = np.arange(sym.trunc, dtype=float)
+    wm = idx ** k if k else np.ones_like(idx)
+    wn = idx ** l if l else np.ones_like(idx)
+    return float(np.sqrt(np.sum(wm[:, None] * wn[None, :] * np.abs(sym.coeffs) ** 2)))
 
 
 def matrix_star_exp(f: MatrixSymbol, s: complex = 1.0) -> MatrixSymbol:

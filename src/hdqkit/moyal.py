@@ -27,7 +27,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import InvalidArgument, QuadratureError, ResourceError, SpecMismatch, gate
+from .errors import QuadratureError, ResourceError, SpecMismatch, choice, gate, whole
 
 Side = Literal["left", "right"]
 
@@ -53,11 +53,8 @@ class GridSpec:
     theta: float = 2.0
 
     def __post_init__(self) -> None:
-        if not all(isinstance(v, (int, np.integer)) for v in (self.n, self.M)):
-            raise SpecMismatch(f"n and M must be integers, got n={self.n!r}, M={self.M!r}")
-        if self.n < 1:
-            raise SpecMismatch("need at least one symplectic pair")
-        if self.M < 8 or self.M & (self.M - 1):
+        whole(self.n, "number n of symplectic pairs", 1)
+        if whole(self.M, "grid size M", 8) & (self.M - 1):
             raise SpecMismatch(f"M must be a power of two >= 8, got {self.M}")
         if not (np.isfinite(self.theta) and self.theta > 0):
             raise SpecMismatch(f"theta must be finite and positive, got {self.theta}")
@@ -207,7 +204,7 @@ def moyal_direct(f: GridFunction, g: GridFunction,
     for w, idx in enumerate(points):
         if len(idx) != 2 * n:
             raise SpecMismatch(f"point {idx} has wrong arity")
-        if not all(0 <= int(i) < spec.M for i in idx):
+        if any(whole(i, "point index", 0) >= spec.M for i in idx):
             raise SpecMismatch(f"point {idx} lies outside the grid [0, {spec.M})")
         # align so row j of the rolled array is f(x0 + u_j) with u_j = -L + j h
         shift = tuple(spec.M // 2 - int(i) for i in idx)
@@ -418,8 +415,7 @@ def symplectic_fourier(f: GridFunction, side: Side = "left") -> GridFunction:
     spec = f.spec
     if spec.n != 1:
         raise SpecMismatch("symplectic Fourier transform is wired for n=1")
-    if side not in ("left", "right"):
-        raise InvalidArgument(f"side must be left or right, got {side!r}")
+    choice(side, ("left", "right"), "side")
     sgn = 1.0 if side == "left" else -1.0
     th = spec.theta
     xq, xp = spec.axis(0), spec.axis(1)
@@ -440,8 +436,7 @@ def translation_multiplier(x0: Sequence[float], f: GridFunction,
     grid-periodic exactly when x0 lies on the lattice of admissible_translations.
     """
     spec = f.spec
-    if side not in ("left", "right"):
-        raise InvalidArgument(f"side must be left or right, got {side!r}")
+    choice(side, ("left", "right"), "side")
     x0 = np.asarray(x0, dtype=float)
     if x0.shape != (2 * spec.n,):
         raise SpecMismatch(f"translation needs {2 * spec.n} components")

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SpecMismatch
+from .errors import SpecMismatch, whole
 from .moyal import (
     GridFunction,
     GridSpec,
@@ -72,7 +72,7 @@ def interior_mask(spec: GridSpec) -> np.ndarray:
 
 def coordinate_function(spec: GridSpec, j: int, windowed: bool = True) -> GridFunction:
     """The coordinate x_j on the grid, windowed by default for product use."""
-    if not 0 <= j < 2 * spec.n:
+    if whole(j, "coordinate index", 0) >= 2 * spec.n:
         raise SpecMismatch(f"coordinate index {j} out of range for n={spec.n}")
     vals = spec.axis(j).reshape((-1,) + (1,) * (2 * spec.n - 1 - j))
     samples = np.ascontiguousarray(np.broadcast_to(vals, spec.shape), dtype=complex)
@@ -81,17 +81,12 @@ def coordinate_function(spec: GridSpec, j: int, windowed: bool = True) -> GridFu
     return GridFunction(spec, samples)
 
 
-def _check_orders(orders: Sequence[int]) -> None:
-    if not all(isinstance(k, (int, np.integer)) and k >= 0 for k in orders):
-        raise SpecMismatch(f"orders must be nonnegative integers, got {tuple(orders)}")
-
-
 def spectral_derivative(f: GridFunction, orders: Sequence[int]) -> GridFunction:
     """d^orders f by multiplying (i xi)^k on the modes."""
     spec = f.spec
     if len(orders) != 2 * spec.n:
         raise SpecMismatch(f"need {2 * spec.n} derivative orders")
-    _check_orders(orders)
+    orders = [whole(k, "derivative order", 0) for k in orders]
     coeffs = to_modes(f)
     for ax, k in enumerate(orders):
         if k == 0:
@@ -177,7 +172,7 @@ def sobolev_norm(f: GridFunction, k: int) -> float:
     The generator words (L_{e_i} - R_{e_i}) reduce to i theta times single
     derivatives, so every word of length m is theta^m d^beta with |beta| = m.
     """
-    _check_orders([k])
+    k = whole(k, "Sobolev order", 0)
     spec = f.spec
     best = 0.0
     for total in range(k + 1):
@@ -187,23 +182,13 @@ def sobolev_norm(f: GridFunction, k: int) -> float:
     return best
 
 
-def classical_sobolev_norm(f: GridFunction, k: int) -> float:
-    """Unscaled H^k norm (sum over derivatives), for ratio reporting."""
-    _check_orders([k])
-    spec = f.spec
-    acc = 0.0
-    for total in range(k + 1):
-        for beta in _multi_indices(total, 2 * spec.n):
-            acc += spectral_derivative(f, beta).norm ** 2
-    return float(np.sqrt(acc))
-
-
 def schwartz_seminorm(f: GridFunction, alpha: Sequence[int], beta: Sequence[int]) -> float:
     """L^2 norm of x^alpha d^beta f via spectral differentiation."""
     spec = f.spec
     if len(alpha) != 2 * spec.n or len(beta) != 2 * spec.n:
         raise SpecMismatch(f"multi-indices must have {2 * spec.n} entries")
-    _check_orders(tuple(alpha) + tuple(beta))
+    alpha = [whole(a, "moment order", 0) for a in alpha]
+    beta = [whole(b, "derivative order", 0) for b in beta]
     if sum(alpha) > 4 or sum(beta) > 4:
         raise SpecMismatch("seminorm orders above 4 are not calibrated")
     out = spectral_derivative(f, beta).samples
@@ -218,16 +203,13 @@ def schwartz_seminorm(f: GridFunction, alpha: Sequence[int], beta: Sequence[int]
 # plane waves and BCH
 # ---------------------------------------------------------------------------
 
-def symplectic_pairing(x0: Sequence[float], x1: Sequence[float]) -> float:
+def bch_phase(x0: Sequence[float], x1: Sequence[float], theta: float) -> complex:
+    """Closed form of the composition constant: exp((i/2theta) w(x0, x1))."""
     x0 = np.asarray(x0, dtype=float)
     x1 = np.asarray(x1, dtype=float)
     n = x0.size // 2
-    return float(np.dot(x0[:n], x1[n:]) - np.dot(x0[n:], x1[:n]))
-
-
-def bch_phase(x0: Sequence[float], x1: Sequence[float], theta: float) -> complex:
-    """Closed form of the composition constant: exp((i/2theta) w(x0, x1))."""
-    return complex(np.exp(0.5j / theta * symplectic_pairing(x0, x1)))
+    w = np.dot(x0[:n], x1[n:]) - np.dot(x0[n:], x1[:n])
+    return complex(np.exp(0.5j / theta * w))
 
 
 def _anchor(spec: GridSpec) -> GridFunction:

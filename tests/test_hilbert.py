@@ -20,8 +20,8 @@ from scipy.linalg import null_space
 from scipy.sparse import csgraph
 
 from hdqkit import clifford, hilbert
-from hdqkit.errors import (HdqError, InvalidArgument, InvalidGram, NotIsomorphism, NotUnitary,
-                           ParseError, ResourceError, SpecMismatch, StructureError)
+from hdqkit.errors import (HdqError, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
+                           ResourceError, SpecMismatch, StructureError)
 
 
 # ---------------------------------------------------------------------------
@@ -1140,12 +1140,12 @@ def test_bad_choices_raise_hdq_errors(m2):
         hilbert.regular_representation(m2, np.eye(4)[0], side="middle")
     with pytest.raises(HdqError):
         hilbert.combine(m2, m2, mode="free_product")
-    # sizes below one, and an empty group table
+    # sizes below one are malformed sizes; an empty group table is a parse error
     for kind in ("full_matrix", "cyclic_group"):
         for n in (0, -1):
-            with pytest.raises(InvalidArgument):
+            with pytest.raises(SpecMismatch):
                 hilbert.example_algebra(kind, n=n)
-    with pytest.raises(InvalidArgument):
+    with pytest.raises(SpecMismatch):
         hilbert.full_matrix_algebra(0)
     with pytest.raises(ParseError):
         hilbert.group_algebra(np.zeros((0, 0), dtype=int))

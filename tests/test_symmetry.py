@@ -14,7 +14,6 @@ from hdqkit.moyal import (
 from hdqkit.symmetry import (
     BchResult,
     bch_phase,
-    classical_sobolev_norm,
     coordinate_function,
     heisenberg_check,
     interior_mask,
@@ -182,18 +181,6 @@ def test_sobolev_negative_k(spec128):
         sobolev_norm(gauss_ground(spec128), -1)
     with pytest.raises(SpecMismatch):
         sobolev_norm(gauss_ground(spec128), 1.5)
-    for k in (1.5, -1):
-        with pytest.raises(SpecMismatch):
-            classical_sobolev_norm(gauss_ground(spec128), k)
-
-
-def test_sobolev_classical_ratio(spec128, rng):
-    ratios = []
-    for _ in range(10):
-        f = random_schwartz(spec128, rng)
-        ratios.append(sobolev_norm(f, 2) / classical_sobolev_norm(f, 2))
-    print("scaled/classical H^2 ratios:", np.round(ratios, 4))
-    assert all(np.isfinite(r) and 0 < r < 100 for r in ratios)
 
 
 def test_schwartz_zero_orders_is_l2(spec128, rng):
