@@ -6,7 +6,7 @@ Subpackages are organized per capability:
 * clifford     - Clifford algebras on bitmask blades; products through the
                  Jordan-Wigner matrix model, bit-exact on blades (+-1, +-i
                  sums and one power-of-two division); unital multiplier checks
-* moyal        - flat star product, symplectic Fourier, translations
+* moyal        - flat star product, translations
 * matrix_basis - Laguerre matrix basis, coefficient transforms, GBV norms
 * symmetry     - commutator identities, Sobolev/Schwartz norms, plane-wave law
 

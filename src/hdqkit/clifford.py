@@ -31,7 +31,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import SpecMismatch, gate, whole
+from .errors import SpecMismatch, array, gate, whole
 from .hilbert import FiniteHilbertAlgebra, regular_representation, solve_multipliers
 
 _VERIFY_MAX_M = 3
@@ -132,14 +132,8 @@ class CliffordElement:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        whole(self.m, _RANK, 1)
-        d = 1 << (2 * self.m)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (d,):
-            raise SpecMismatch(
-                f"Cl({2 * self.m}) needs {d} coefficients, got shape {self.coeffs.shape}")
-        if not np.all(np.isfinite(self.coeffs.view(float))):
-            raise SpecMismatch("non-finite coefficients")
+        d = 1 << (2 * whole(self.m, _RANK, 1))
+        self.coeffs = array(self.coeffs, (d,), "blade coefficients", complex)
 
     @property
     def norm(self) -> float:

@@ -10,7 +10,10 @@ Arguments follow one rule. Every count, size, order, rank, index and
 exponent goes through `whole`: anything but an int or numpy integer at
 least as large as its least value, a bool included, raises SpecMismatch.
 Every option value goes through `choice`: a value outside its options
-raises InvalidArgument. The site keeps any upper bound of its own.
+raises InvalidArgument. Every numeric array and real or complex scalar goes
+through `array`: anything but a finite int, float or complex value of the
+wanted kind and exact shape, a bool included, raises SpecMismatch. The site
+keeps any bound of its own.
 """
 
 from collections.abc import Hashable
@@ -86,3 +89,39 @@ def choice(value: Any, options: tuple[Any, ...], what: str) -> None:
     """Raise InvalidArgument unless `value` is one of `options`; a bool never is."""
     if isinstance(value, bool) or not isinstance(value, Hashable) or value not in options:
         raise InvalidArgument(f"{what} must be one of {options}, got {value!r}")
+
+
+# numpy dtype kinds that convert to each wanted type without losing a part
+_KINDS = {int: "iu", float: "iuf", complex: "iufc"}
+
+
+def _holds_bool(value: list | tuple) -> bool:
+    """True when a list or tuple holds a bool at any depth."""
+    return any(isinstance(v, (bool, np.bool_)) or isinstance(v, (list, tuple)) and _holds_bool(v)
+               for v in value)
+
+
+def array(value: Any, shape: tuple[int | None, ...], what: str, dtype: type) -> np.ndarray:
+    """`value` as a finite array of `dtype` (int, float or complex) and `shape`.
+
+    SpecMismatch unless the value is numeric of that kind (an int where a
+    real is wanted, a real where a complex is, but no bool anywhere, no real
+    where an int is wanted and no complex where a real is), has exactly
+    `shape` (a None entry matches any length) and has only finite entries.
+    A value that already has the dtype is returned as it is, strided or not.
+    """
+    try:
+        out = np.asarray(value)
+    except ValueError:  # ragged nesting
+        out = np.asarray(None)
+    if (out.dtype.kind in _KINDS[dtype]
+            and (out.shape == shape or len(out.shape) == len(shape)
+                 and all(want in (None, n) for want, n in zip(shape, out.shape)))
+            and not (isinstance(value, (list, tuple)) and _holds_bool(value))):
+        # np.isfinite of a 0-d array is a numpy bool, which count_nonzero
+        # takes about 1 us to convert back: a sizeable share of a scalar's check
+        finite = np.isfinite(out)
+        if finite if out.ndim == 0 else np.count_nonzero(finite) == out.size:
+            return out.astype(dtype, copy=False)
+    raise SpecMismatch(f"{what} must be a finite {dtype.__name__} array of shape {shape}, "
+                       f"got {out.dtype} of shape {out.shape}: {value!r:.40}")

@@ -54,7 +54,7 @@ from typing import Any, Callable, Iterable, Literal
 import numpy as np
 
 from .errors import (InvalidGram, NotIsomorphism, NotUnitary, ParseError, SpecMismatch,
-                     StructureError, choice, gate, whole)
+                     StructureError, array, choice, gate, whole)
 
 __all__ = [
     "FiniteHilbertAlgebra",
@@ -97,19 +97,10 @@ class FiniteHilbertAlgebra:
     name: str = "algebra"
 
     def __post_init__(self) -> None:
-        c = np.ascontiguousarray(np.asarray(self.structure, dtype=complex))
-        s = np.asarray(self.involution, dtype=complex)
-        g = np.asarray(self.gram, dtype=complex)
-        d = c.shape[0]
-        if c.shape != (d, d, d) or s.shape != (d, d) or g.shape != (d, d):
-            raise StructureError(
-                f"inconsistent shapes: c{c.shape}, S{s.shape}, G{g.shape}"
-            )
-        if not all(np.isfinite(a).all() for a in (c, s, g)):
-            raise StructureError("non-finite structure, involution or gram entries")
-        object.__setattr__(self, "structure", c)
-        object.__setattr__(self, "involution", s)
-        object.__setattr__(self, "gram", g)
+        d = len(array(self.gram, (None, None), "gram", complex))
+        for part, shape in (("structure", (d, d, d)), ("involution", (d, d)), ("gram", (d, d))):
+            value = array(getattr(self, part), shape, part, complex)
+            object.__setattr__(self, part, np.ascontiguousarray(value))
 
     @property
     def dim(self) -> int:
@@ -220,11 +211,7 @@ class OperatorSubspace:
 def _matrix_stack(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
     """The matrices as a (k, dim, dim) complex stack; SpecMismatch unless each is dim x dim."""
     whole(dim, "ambient dimension", 1)
-    stack = [np.asarray(m, dtype=complex) for m in mats]
-    for m in stack:
-        if m.shape != (dim, dim):
-            raise SpecMismatch(f"expected {dim} x {dim} matrices, got shape {m.shape}")
-    return np.array(stack).reshape(-1, dim, dim)
+    return np.array([array(m, (dim, dim), "matrix", complex) for m in mats]).reshape(-1, dim, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +222,7 @@ def regular_representation(alg: FiniteHilbertAlgebra, x: np.ndarray,
                            side: Side = "left") -> np.ndarray:
     """Matrix of multiplication by x on coordinates, acting from one side."""
     choice(side, ("left", "right"), "side")
-    x = np.asarray(x, dtype=complex)
+    x = array(x, (alg.dim,), "coordinates", complex)
     if side == "left":
         return np.einsum("i,ijk->kj", x, alg.structure)
     return np.einsum("j,ijk->ki", x, alg.structure)
@@ -797,7 +784,11 @@ def combine(a: FiniteHilbertAlgebra, b: FiniteHilbertAlgebra,
 
 def change_basis(alg: FiniteHilbertAlgebra, q: np.ndarray) -> FiniteHilbertAlgebra:
     """Rewrite the algebra in the basis f_i = sum_a q[a,i] e_a (q invertible)."""
-    qinv = np.linalg.inv(q)
+    q = array(q, (alg.dim, alg.dim), "basis change q", complex)
+    try:
+        qinv = np.linalg.inv(q)
+    except np.linalg.LinAlgError:
+        raise SpecMismatch("basis change q is singular") from None
     c = np.einsum("ai,bj,abm,km->ijk", q, q, alg.structure, qinv, optimize=True)
     # new coords v correspond to old coords q v; the old star is S^T conj(qv),
     # mapped back by qinv, so the new star matrix satisfies
@@ -853,7 +844,7 @@ def extend_isomorphism(phi: np.ndarray, a: FiniteHilbertAlgebra,
     if a.dim != b.dim:
         raise NotIsomorphism(f"dimension mismatch {a.dim} != {b.dim}")
     d = a.dim
-    phi = np.asarray(phi, dtype=complex)
+    phi = array(phi, (d, d), "isomorphism phi", complex)
     g_res = float(np.abs(phi.conj().T @ b.gram @ phi - a.gram).max())
     lhs = np.einsum("kl,ijl->ijk", phi, a.structure)
     rhs = np.einsum("ai,bj,abk->ijk", phi, phi, b.structure, optimize=True)
@@ -913,7 +904,7 @@ def group_algebra(table: np.ndarray, name: str = "group") -> FiniteHilbertAlgebr
 
     table[i, j] is the index of g_i g_j; index 0 must be the identity.
     """
-    table = np.asarray(table, dtype=int)
+    table = array(table, (None, None), "group table", int)
     n = table.shape[0]
     if table.shape != (n, n):
         raise ParseError("group table must be square")
@@ -958,12 +949,17 @@ def full_matrix_algebra(n: int) -> FiniteHilbertAlgebra:
     return FiniteHilbertAlgebra(c, s, np.eye(d), name=f"mat{n}")
 
 
+_EXAMPLE_PARAMS = {"full_matrix": ("n",), "cyclic_group": ("n",), "s3": ()}
+
+
 def example_algebra(kind: str, **params: Any) -> FiniteHilbertAlgebra:
     """Factory for the shipped examples.
 
     kinds: 'full_matrix' (n), 'cyclic_group' (n), 's3'.
     """
-    choice(kind, ("full_matrix", "cyclic_group", "s3"), "algebra kind")
+    choice(kind, tuple(_EXAMPLE_PARAMS), "algebra kind")
+    for key in params:
+        choice(key, _EXAMPLE_PARAMS[kind], f"parameter of {kind}")
     if kind == "full_matrix":
         return full_matrix_algebra(params.get("n", 2))
     if kind == "cyclic_group":

@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import SpecMismatch, TruncationError, choice, gate, whole
+from .errors import SpecMismatch, TruncationError, array, choice, gate, whole
 from .moyal import GridFunction, GridSpec
 
 # The Gram error of the sampled Hermite functions bounds the transforms'
@@ -59,11 +59,9 @@ class MatrixSymbol:
     coeffs: np.ndarray
 
     def __post_init__(self) -> None:
-        whole(self.trunc, "truncation", 1)
-        self.coeffs = np.asarray(self.coeffs, dtype=complex)
-        if self.coeffs.shape != (self.trunc, self.trunc):
-            raise SpecMismatch(
-                f"coefficient matrix must be {self.trunc} x {self.trunc}")
+        t = whole(self.trunc, "truncation", 1)
+        self.theta = float(array(self.theta, (), "theta", float))
+        self.coeffs = array(self.coeffs, (t, t), "matrix-basis coefficients", complex)
 
     @property
     def norm(self) -> float:
@@ -224,13 +222,11 @@ def gbv_norm(sym: MatrixSymbol, k: int, l: int) -> float:
     k = whole(k, "row exponent k", 0)
     l = whole(l, "column exponent l", 0)
     idx = np.arange(sym.trunc, dtype=float)
-    wm = idx ** k if k else np.ones_like(idx)
-    wn = idx ** l if l else np.ones_like(idx)
-    return float(np.sqrt(np.sum(wm[:, None] * wn[None, :] * np.abs(sym.coeffs) ** 2)))
+    return float(np.sqrt(np.sum((idx ** k)[:, None] * idx ** l * np.abs(sym.coeffs) ** 2)))
 
 
 def matrix_star_exp(f: MatrixSymbol, s: complex = 1.0) -> MatrixSymbol:
     """Star-exponential exp(s f) on the matrix model."""
     from scipy.linalg import expm
 
-    return MatrixSymbol(f.trunc, f.theta, expm(s * f.coeffs))
+    return MatrixSymbol(f.trunc, f.theta, expm(array(s, (), "scale s", complex) * f.coeffs))

@@ -27,7 +27,7 @@ from typing import Literal, Sequence
 
 import numpy as np
 
-from .errors import QuadratureError, ResourceError, SpecMismatch, choice, gate, whole
+from .errors import QuadratureError, ResourceError, SpecMismatch, array, choice, gate, whole
 
 Side = Literal["left", "right"]
 
@@ -56,19 +56,16 @@ class GridSpec:
         whole(self.n, "number n of symplectic pairs", 1)
         if whole(self.M, "grid size M", 8) & (self.M - 1):
             raise SpecMismatch(f"M must be a power of two >= 8, got {self.M}")
-        if not (np.isfinite(self.theta) and self.theta > 0):
-            raise SpecMismatch(f"theta must be finite and positive, got {self.theta}")
-        half = self.L
-        if half is None:
-            half = 6.0 * np.sqrt(self.theta)
+        theta = float(array(self.theta, (), "theta", float))
+        if theta <= 0:
+            raise SpecMismatch(f"theta must be positive, got {theta}")
+        half = 6.0 * np.sqrt(theta) if self.L is None else self.L
         if np.isscalar(half):
-            half = (float(half),) * (2 * self.n)
-        else:
-            half = tuple(float(v) for v in half)
-        if len(half) != 2 * self.n:
-            raise SpecMismatch(f"need {2 * self.n} half-widths, got {len(half)}")
-        if not all(np.isfinite(v) and v > 0 for v in half):
-            raise SpecMismatch(f"half-widths must be finite and positive, got {half}")
+            half = (half,) * (2 * self.n)
+        half = tuple(array(half, (2 * self.n,), "half-widths L", float).tolist())
+        if min(half) <= 0:
+            raise SpecMismatch(f"half-widths must be positive, got {half}")
+        object.__setattr__(self, "theta", theta)
         object.__setattr__(self, "L", half)
         gate(self.M ** (2 * self.n), f"grid of {self.M}^{2 * self.n} samples")
 
@@ -103,12 +100,7 @@ class GridFunction:
     samples: np.ndarray
 
     def __post_init__(self) -> None:
-        self.samples = np.asarray(self.samples, dtype=complex)
-        if self.samples.shape != self.spec.shape:
-            raise SpecMismatch(
-                f"samples shape {self.samples.shape} does not match grid {self.spec.shape}")
-        if not np.all(np.isfinite(self.samples)):
-            raise SpecMismatch("non-finite samples")
+        self.samples = array(self.samples, self.spec.shape, "grid samples", complex)
 
     @property
     def norm(self) -> float:
@@ -158,7 +150,7 @@ def to_modes(f: GridFunction) -> np.ndarray:
 
 
 def from_modes(spec: GridSpec, coeffs: np.ndarray) -> GridFunction:
-    out = np.asarray(coeffs, dtype=complex)
+    out = array(coeffs, spec.shape, "mode coefficients", complex)
     m = spec.M
     alt = spec.alternating()
     for ax in range(out.ndim):
@@ -195,17 +187,16 @@ def moyal_direct(f: GridFunction, g: GridFunction,
     so keep the point list short.
     """
     spec = _same_spec(f, g)
+    n = spec.n
+    points = array(points, (None, 2 * n), "spot points", int)
     if len(points) > 64:
         raise QuadratureError("direct path is for spot checks; pass at most 64 points")
-    n = spec.n
+    if any(whole(i, "point index", 0) >= spec.M for i in points.flat):
+        raise SpecMismatch(f"spot points must lie in the grid [0, {spec.M})")
     mats = _direct_kernels(spec)
     pref = spec.cell ** 2 / (np.pi * spec.theta) ** (2 * n)
     values = np.empty(len(points), dtype=complex)
     for w, idx in enumerate(points):
-        if len(idx) != 2 * n:
-            raise SpecMismatch(f"point {idx} has wrong arity")
-        if any(whole(i, "point index", 0) >= spec.M for i in idx):
-            raise SpecMismatch(f"point {idx} lies outside the grid [0, {spec.M})")
         # align so row j of the rolled array is f(x0 + u_j) with u_j = -L + j h
         shift = tuple(spec.M // 2 - int(i) for i in idx)
         axes = tuple(range(2 * n))
@@ -410,22 +401,6 @@ def tracial_pairing(f: GridFunction, g: GridFunction) -> tuple[complex, complex]
     return star, plain
 
 
-def symplectic_fourier(f: GridFunction, side: Side = "left") -> GridFunction:
-    """F(x) = (pi theta)^{-n} integral of f(y) exp(±(2i/theta) w(x, y)) dy."""
-    spec = f.spec
-    if spec.n != 1:
-        raise SpecMismatch("symplectic Fourier transform is wired for n=1")
-    choice(side, ("left", "right"), "side")
-    sgn = 1.0 if side == "left" else -1.0
-    th = spec.theta
-    xq, xp = spec.axis(0), spec.axis(1)
-    # w(x, y) = q_x p_y - p_x q_y
-    e1 = np.exp(sgn * 2j / th * np.outer(xq, xp))   # [out q, y p]
-    e2 = np.exp(-sgn * 2j / th * np.outer(xp, xq))  # [out p, y q]
-    out = np.einsum("ab,ib,ja->ij", f.samples, e1, e2, optimize=True)
-    return GridFunction(spec, out * spec.cell / (np.pi * th) ** spec.n)
-
-
 def translation_multiplier(x0: Sequence[float], f: GridFunction,
                            side: Side = "left") -> GridFunction:
     """Unitary multiplier action of a phase-space translation.
@@ -437,9 +412,7 @@ def translation_multiplier(x0: Sequence[float], f: GridFunction,
     """
     spec = f.spec
     choice(side, ("left", "right"), "side")
-    x0 = np.asarray(x0, dtype=float)
-    if x0.shape != (2 * spec.n,):
-        raise SpecMismatch(f"translation needs {2 * spec.n} components")
+    x0 = array(x0, (2 * spec.n,), "translation x0", float)
     # left shifts the argument by -x0/2, right by +x0/2
     shift = 0.5 * x0 if side == "left" else -0.5 * x0
     out = f.samples

@@ -20,7 +20,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import SpecMismatch, whole
+from .errors import SpecMismatch, array, whole
 from .moyal import (
     GridFunction,
     GridSpec,
@@ -84,9 +84,8 @@ def coordinate_function(spec: GridSpec, j: int, windowed: bool = True) -> GridFu
 def spectral_derivative(f: GridFunction, orders: Sequence[int]) -> GridFunction:
     """d^orders f by multiplying (i xi)^k on the modes."""
     spec = f.spec
-    if len(orders) != 2 * spec.n:
-        raise SpecMismatch(f"need {2 * spec.n} derivative orders")
-    orders = [whole(k, "derivative order", 0) for k in orders]
+    orders = [whole(k, "derivative order", 0)
+              for k in array(orders, (2 * spec.n,), "derivative orders", int)]
     coeffs = to_modes(f)
     for ax, k in enumerate(orders):
         if k == 0:
@@ -185,10 +184,10 @@ def sobolev_norm(f: GridFunction, k: int) -> float:
 def schwartz_seminorm(f: GridFunction, alpha: Sequence[int], beta: Sequence[int]) -> float:
     """L^2 norm of x^alpha d^beta f via spectral differentiation."""
     spec = f.spec
-    if len(alpha) != 2 * spec.n or len(beta) != 2 * spec.n:
-        raise SpecMismatch(f"multi-indices must have {2 * spec.n} entries")
-    alpha = [whole(a, "moment order", 0) for a in alpha]
-    beta = [whole(b, "derivative order", 0) for b in beta]
+    alpha = [whole(a, "moment order", 0)
+             for a in array(alpha, (2 * spec.n,), "moment orders", int)]
+    beta = [whole(b, "derivative order", 0)
+            for b in array(beta, (2 * spec.n,), "derivative orders", int)]
     if sum(alpha) > 4 or sum(beta) > 4:
         raise SpecMismatch("seminorm orders above 4 are not calibrated")
     out = spectral_derivative(f, beta).samples
@@ -205,8 +204,10 @@ def schwartz_seminorm(f: GridFunction, alpha: Sequence[int], beta: Sequence[int]
 
 def bch_phase(x0: Sequence[float], x1: Sequence[float], theta: float) -> complex:
     """Closed form of the composition constant: exp((i/2theta) w(x0, x1))."""
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
+    x0 = array(x0, (None,), "translation x0", float)
+    x1 = array(x1, x0.shape, "translation x1", float)
+    if x0.size % 2:
+        raise SpecMismatch(f"translations need an even number of components, got {x0.size}")
     n = x0.size // 2
     w = np.dot(x0[:n], x1[n:]) - np.dot(x0[n:], x1[:n])
     return complex(np.exp(0.5j / theta * w))
@@ -234,8 +235,8 @@ def plane_wave_bch(x0: Sequence[float], x1: Sequence[float], spec: GridSpec) -> 
     Both sides are applied to a Gaussian anchor; c comes out as the
     projection coefficient.  Plane waves never touch an L^2 norm here.
     """
-    x0 = np.asarray(x0, dtype=float)
-    x1 = np.asarray(x1, dtype=float)
+    x0 = array(x0, (2 * spec.n,), "translation x0", float)
+    x1 = array(x1, (2 * spec.n,), "translation x1", float)
     anchor = _anchor(spec)
     stepped = translation_multiplier(x0, translation_multiplier(x1, anchor, "left"), "left")
     direct = translation_multiplier(x0 + x1, anchor, "left")
@@ -252,7 +253,7 @@ def star_exp_ode_check(x: Sequence[float], spec: GridSpec) -> float:
     derivative by a central difference of exact translations with step 1e-4,
     the right side by an actual star product with the windowed moment map.
     """
-    x = np.asarray(x, dtype=float)
+    x = array(x, (2 * spec.n,), "translation x", float)
     anchor = _anchor(spec)
     eps = 1e-4
     up = translation_multiplier((1.0 + eps) * x, anchor, "left")

@@ -21,7 +21,7 @@ from scipy.sparse import csgraph
 
 from hdqkit import clifford, hilbert
 from hdqkit.errors import (HdqError, InvalidGram, NotIsomorphism, NotUnitary, ParseError,
-                           ResourceError, SpecMismatch, StructureError)
+                           ResourceError, SpecMismatch)
 
 
 # ---------------------------------------------------------------------------
@@ -1149,11 +1149,11 @@ def test_bad_choices_raise_hdq_errors(m2):
         hilbert.full_matrix_algebra(0)
     with pytest.raises(ParseError):
         hilbert.group_algebra(np.zeros((0, 0), dtype=int))
-    # non-finite entries in any of the three arrays
+    # non-finite entries in any of the three arrays are malformed input
     for part in range(3):
         data = [m2.structure.copy(), m2.involution.copy(), m2.gram.copy()]
         data[part].flat[1] = np.nan
-        with pytest.raises(StructureError):
+        with pytest.raises(SpecMismatch):
             hilbert.FiniteHilbertAlgebra(*data)
     # generators that are not ambient_dim x ambient_dim, which a reshape
     # would split or reject with a numpy error

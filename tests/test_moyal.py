@@ -23,7 +23,6 @@ from hdqkit.moyal import (
     moyal_fast,
     moyal_fast_many,
     split_pairs,
-    symplectic_fourier,
     to_modes,
     translation_multiplier,
 )
@@ -382,39 +381,6 @@ def test_tracial_pairing_random(spec64, rng):
         star, plain = tracial_pairing(random_schwartz(spec64, rng),
                                       random_schwartz(spec64, rng))
         assert abs(star - plain) <= 1e-6 * max(abs(plain), 1e-6)
-
-
-# ---------------------------------------------------------------------------
-# symplectic Fourier
-# ---------------------------------------------------------------------------
-
-def test_fourier_fixes_ground_state(spec128):
-    b00 = closed_basis(spec128, 0, 0)
-    out = symplectic_fourier(b00, "left")
-    assert rel((out - b00).norm, b00.norm) < 1e-6
-
-
-def test_fourier_isometry(spec64, rng):
-    for side in ("left", "right"):
-        f = random_schwartz(spec64, rng)
-        assert symplectic_fourier(f, side).norm == pytest.approx(f.norm, rel=1e-6)
-
-
-def test_fourier_left_squares_to_identity(spec64, rng):
-    f = random_schwartz(spec64, rng)
-    back = symplectic_fourier(symplectic_fourier(f, "left"), "left")
-    assert rel((back - f).norm, f.norm) < 1e-6
-
-
-def test_fourier_left_right_is_parity(spec64, rng):
-    f = random_schwartz(spec64, rng)
-    out = symplectic_fourier(symplectic_fourier(f, "right"), "left")
-    assert rel((out - f.parity()).norm, f.norm) < 1e-6
-
-
-def test_fourier_rejects_bad_side(spec64):
-    with pytest.raises(InvalidArgument):
-        symplectic_fourier(closed_basis(spec64, 0, 0), "up")
 
 
 # ---------------------------------------------------------------------------
