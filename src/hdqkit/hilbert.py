@@ -208,6 +208,16 @@ class OperatorSubspace:
         return OperatorSubspace(ambient_dim, basis)
 
 
+def _pairs(pairs: Any, d: int) -> list[MultiplierPair]:
+    """The caller's pairs with d x d complex maps; SpecMismatch unless each is such a pair."""
+    if not isinstance(pairs, (list, tuple)) or not all(isinstance(p, MultiplierPair)
+                                                       for p in pairs):
+        raise SpecMismatch(f"pairs must be a list of MultiplierPair, got {pairs!r:.60}")
+    return [MultiplierPair(array(p.left, (d, d), "left multiplier", complex),
+                           array(p.right, (d, d), "right multiplier", complex), p.defect)
+            for p in pairs]
+
+
 def _matrix_stack(mats: Iterable[np.ndarray], dim: int) -> np.ndarray:
     """The matrices as a (k, dim, dim) complex stack; SpecMismatch unless each is dim x dim."""
     whole(dim, "ambient dimension", 1)
@@ -664,8 +674,7 @@ def verify_caract(alg: FiniteHilbertAlgebra,
     # c.transpose(0, 2, 1) is the stack of lam(e_i)
     first = commutant(w @ alg.structure.transpose(0, 2, 1) @ winv, d)
     second = commutant(first.basis, d)
-    if pairs is None:
-        pairs = solve_multipliers(alg)
+    pairs = solve_multipliers(alg) if pairs is None else _pairs(pairs, d)
     lefts = np.array([p.left for p in pairs]).reshape(-1, d, d)
     span = OperatorSubspace.from_matrices(w @ lefts @ winv, d)
     residual = second.equals(span)
@@ -693,8 +702,7 @@ def verify_commutant_structure(alg: FiniteHilbertAlgebra,
     d = alg.dim
     w = alg.frame()
     winv = np.linalg.inv(w)
-    if pairs is None:
-        pairs = solve_multipliers(alg)
+    pairs = solve_multipliers(alg) if pairs is None else _pairs(pairs, d)
     lefts = np.array([p.left for p in pairs]).reshape(-1, d, d)
     rights = np.array([p.right for p in pairs]).reshape(-1, d, d)
     comm = commutant(w @ lefts @ winv, d)
@@ -802,6 +810,7 @@ def inner_automorphism(alg: FiniteHilbertAlgebra, pair: MultiplierPair
                        ) -> tuple[np.ndarray, dict[str, Any]]:
     """Automorphism x -> L(R*(x)) induced by a unitary multiplier pair."""
     d = alg.dim
+    pair, = _pairs([pair], d)
     w = alg.frame()
     winv = np.linalg.inv(w)
     lw = w @ pair.left @ winv
@@ -845,6 +854,7 @@ def extend_isomorphism(phi: np.ndarray, a: FiniteHilbertAlgebra,
         raise NotIsomorphism(f"dimension mismatch {a.dim} != {b.dim}")
     d = a.dim
     phi = array(phi, (d, d), "isomorphism phi", complex)
+    pair, = _pairs([pair], d)
     g_res = float(np.abs(phi.conj().T @ b.gram @ phi - a.gram).max())
     lhs = np.einsum("kl,ijl->ijk", phi, a.structure)
     rhs = np.einsum("ai,bj,abk->ijk", phi, phi, b.structure, optimize=True)

@@ -61,6 +61,8 @@ class MatrixSymbol:
     def __post_init__(self) -> None:
         t = whole(self.trunc, "truncation", 1)
         self.theta = float(array(self.theta, (), "theta", float))
+        if self.theta <= 0:
+            raise SpecMismatch(f"theta must be positive, got {self.theta}")
         self.coeffs = array(self.coeffs, (t, t), "matrix-basis coefficients", complex)
 
     @property

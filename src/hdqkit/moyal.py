@@ -23,7 +23,7 @@ against the direct quadrature below, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Sequence
+from typing import Iterator, Literal, Sequence
 
 import numpy as np
 
@@ -33,13 +33,9 @@ Side = Literal["left", "right"]
 
 _PAIR_CHUNK = 64  # products per block of f rows in _fast_pairs_2d (len(gs) if larger)
 _CUTOFF = 1e-12  # split_pairs keeps singular values above this fraction of the largest
-
-# split_pairs probe schedule: widths 8, 32, 128, ... while the width is below
-# 1/16 of the M^2 x M^2 pair matrix's side, then a dense SVD.  At M = 32 a
-# full-rank input wastes probes of 8 and 32 columns before the 1024 x 1024
-# SVD, a few percent of its time.
-_PROBE_START = 8
-_PROBE_GROWTH = 4
+# split_pairs ends in a dense SVD once its cross approximation reaches rank
+# M^2 / 16; at M = 32 a full-rank input spends a few percent of that SVD's
+# time in the sweep before it
 _DENSE_SHARE = 16
 
 
@@ -268,9 +264,9 @@ def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
     kernel factors over the two symplectic pairs, so the pair law
         (sum_a u_a x v_a) * (sum_b u'_b x v'_b)
             = sum_{a,b} (u_a * u'_b) x (v_a * v'_b)
-    is exact.  split_pairs gives the factors of both inputs by a randomized
-    truncated SVD (an O(M^4 r) range finder for rank r, ending in a dense
-    SVD only for near-full-rank input); moyal_fast_many forms all r_f r_g
+    is exact.  split_pairs gives the factors of both inputs by a checked
+    cross approximation (O(M^4 r) for rank r, ending in a dense SVD only for
+    near-full-rank input); moyal_fast_many forms all r_f r_g
     factor products on each pair; one GEMM over the pairs sums the tensor
     products.
     """
@@ -310,6 +306,28 @@ def _pair_spec(spec: GridSpec, which: int) -> GridSpec:
                     theta=spec.theta)
 
 
+def _residual_blocks(x: np.ndarray, u: np.ndarray, vh: np.ndarray
+                     ) -> Iterator[tuple[int, np.ndarray]]:
+    """Row blocks of u vh - A for the pair matrix A of samples x, one q1 at a time.
+
+    Block q1 holds rows (q1, p1) for all p1: a GEMM into one reused
+    (M, M^2) buffer less the strided x[q1] view, so A is read once and never
+    copied.
+    """
+    m = len(x)
+    block = np.empty((m, m * m), dtype=complex)
+    cube = block.reshape(m, m, m)  # (p1, q2, p2)
+    for q1 in range(m):
+        np.matmul(u[q1 * m:(q1 + 1) * m], vh, out=block)
+        np.subtract(cube, x[q1].transpose(1, 0, 2), out=cube)
+        yield q1, block
+
+
+def _residual(x: np.ndarray, u: np.ndarray, vh: np.ndarray) -> float:
+    """||A - u vh||_F over all of the pair matrix A of samples x."""
+    return float(np.sqrt(sum(np.vdot(b, b).real for _, b in _residual_blocks(x, u, vh))))
+
+
 def split_pairs(f: GridFunction
                 ) -> tuple[list[np.ndarray], list[np.ndarray], GridSpec, GridSpec]:
     """Singular value split of a 4-d function across its symplectic pairs.
@@ -319,21 +337,25 @@ def split_pairs(f: GridFunction
     of the M^2 x M^2 pair matrix A[(q1, p1), (q2, p2)] with s_r > _CUTOFF s_0
     (1e-12 s_0).
 
-    The triplets come from the adaptive randomized range finder of Halko,
-    Martinsson & Tropp, "Finding structure with randomness" (SIAM Review 53,
-    2011), so a rank-r input costs O(M^4 r) instead of the O(M^6) of a dense
-    SVD.  Each step multiplies A by a complex Gaussian probe block of width k
-    (drawn from a fixed seed, so a call is deterministic), orthonormalises
-    the result to Q by QR and takes the small SVD of B = Q^H A.  The step is
-    accepted when the explicitly computed ||A - Q B||_F <= _CUTOFF s_0.  A is
-    read from the (q1, q2, p1, p2) samples one q1 row block (for A probe) or
-    one q2 column block (for B and the residual) at a time, so neither A nor
-    the residual is ever held whole outside the dense SVD.  Then
-    every singular value of A that the span of Q misses is below the same
-    _CUTOFF s_0 that truncates the result, and the triplets of B agree with
-    those of A to within it.  Otherwise k grows by _PROBE_GROWTH.  Once k
-    reaches M^2 / _DENSE_SHARE a probe would cost a sizeable share of a
-    dense SVD, so the last step is the dense SVD of A itself.
+    The triplets come from partially pivoted adaptive cross approximation
+    (Bebendorf, "Approximation of boundary element matrices", Numer. Math.
+    86, 2000), so a rank-r input costs O(M^4 r) instead of the O(M^6) of a
+    dense SVD.  The sweep starts at the centre row (q1, p1) = (M/2, M/2).
+    Each step reads one residual row of A, pivots on its largest entry,
+    reads that residual column, and moves to the row of the column's largest
+    entry among the rows not yet used.  It stops at a pivot of exactly 0 or
+    at a cross whose norm is below _CUTOFF times the first cross's.  The QRs
+    of both factor stacks and the SVD of their small core give the triplets
+    of the approximant.  One pass over A then computes ||A - U diag(s) V^H||_F
+    exactly, one q1 row block at a time, and accepts when it is at most
+    _CUTOFF s_0: every singular value of A that the approximant misses is
+    below the same _CUTOFF s_0 that truncates the result, and the triplets
+    agree with those of A to within it.  Otherwise a second pass finds the
+    largest residual entry and the sweep resumes from its row, always taking
+    that first cross, so each failed check adds rank.  A is read only
+    through these rows, columns and passes, never copied, except that once
+    the rank reaches M^2 / _DENSE_SHARE the split is the dense SVD of A
+    itself.  No step is random, so a call is deterministic.
     """
     spec = f.spec
     if spec.n != 2:
@@ -341,32 +363,49 @@ def split_pairs(f: GridFunction
     m = spec.M
     size = m * m
     x = f.samples  # x[q1, q2, p1, p2] = A[(q1, p1), (q2, p2)]
-    rng = np.random.default_rng(0)
-    k = _PROBE_START
+    limit = size // _DENSE_SHARE
+    cols = np.empty((size, limit), dtype=complex)  # A ~ cols[:, :rank] @ rows[:rank]
+    rows = np.empty((limit, size), dtype=complex)
+    used = np.zeros(size, dtype=bool)
+    rank, first = 0, 0.0
+    i = size // 2 + m // 2  # the centre row (q1, p1) = (M/2, M/2)
     while True:
-        if k >= size // _DENSE_SHARE:
+        start = rank
+        while rank < limit:
+            used[i] = True
+            row = x[i // m, :, i % m].ravel() - cols[i, :rank] @ rows[:rank]
+            j = int(np.argmax(np.abs(row)))
+            if row[j] == 0:
+                break
+            col = x[:, j // m, :, j % m].ravel() - cols[:, :rank] @ rows[:rank, j]
+            cross = np.linalg.norm(col) * np.linalg.norm(row) / abs(row[j])
+            # a resumed sweep keeps its first cross, or a failed check could recur
+            if rank > start and cross < _CUTOFF * first:
+                break
+            first = first or cross
+            cols[:, rank] = col
+            rows[rank] = row / row[j]
+            rank += 1
+            score = np.abs(col)
+            score[used] = -1.0
+            i = int(np.argmax(score))
+        if rank == limit:
             u, s, vh = np.linalg.svd(x.transpose(0, 2, 1, 3).reshape(size, size),
                                      full_matrices=False)
             break
-        probe = rng.standard_normal((size, k)) + 1j * rng.standard_normal((size, k))
-        q, _ = np.linalg.qr(np.concatenate([x[q1].transpose(1, 0, 2).reshape(m, size) @ probe
-                                            for q1 in range(m)]))
-        qh = q.conj().T
-        b = np.empty((q.shape[1], size), dtype=complex)
-        resid = 0.0
-        for q2 in range(m):
-            cols = x[:, q2].reshape(size, m)
-            block = b[:, q2 * m:(q2 + 1) * m]
-            np.matmul(qh, cols, out=block)
-            diff = q @ block
-            diff -= cols
-            resid += np.vdot(diff, diff).real
-        ub, s, vh = np.linalg.svd(b, full_matrices=False)
-        if np.sqrt(resid) <= _CUTOFF * s[0]:
-            u = q @ ub
+        qu, ru = np.linalg.qr(cols[:, :rank])
+        qv, rv = np.linalg.qr(rows[:rank].T)
+        w, s, zh = np.linalg.svd(ru @ rv.T)
+        u, vh = qu @ w, zh @ qv.T
+        if _residual(x, u * s, vh) <= _CUTOFF * s.max(initial=0.0):
             break
-        k *= _PROBE_GROWTH
-    keep = np.flatnonzero(s > _CUTOFF * max(s[0], 1e-300))
+        best = -1.0
+        for q1, block in _residual_blocks(x, u * s, vh):
+            mag = np.abs(block)
+            at = int(np.argmax(mag))
+            if mag.flat[at] > best:
+                best, i = mag.flat[at], q1 * m + at // size
+    keep = np.flatnonzero(s > _CUTOFF * s.max(initial=1e-300))
     left = [u[:, r].reshape(m, m) * s[r] for r in keep]
     right = [vh[r].reshape(m, m) for r in keep]
     return left, right, _pair_spec(spec, 0), _pair_spec(spec, 1)

@@ -204,6 +204,9 @@ def schwartz_seminorm(f: GridFunction, alpha: Sequence[int], beta: Sequence[int]
 
 def bch_phase(x0: Sequence[float], x1: Sequence[float], theta: float) -> complex:
     """Closed form of the composition constant: exp((i/2theta) w(x0, x1))."""
+    theta = float(array(theta, (), "theta", float))
+    if theta <= 0:
+        raise SpecMismatch(f"theta must be positive, got {theta}")
     x0 = array(x0, (None,), "translation x0", float)
     x1 = array(x1, x0.shape, "translation x1", float)
     if x0.size % 2:

@@ -157,6 +157,11 @@ ARRAY = [
      lambda v: schwartz_seminorm(F, [0, 0], v)),
     ("bch_phase x0", float, [1, 0], lambda v: bch_phase(v, [0.0, 1.0], 2.0)),
     ("bch_phase x1", float, [0, 1], lambda v: bch_phase([1.0, 0.0], v, 2.0)),
+    ("bch_phase theta", float, 2, lambda v: bch_phase([1.0, 0.0], [0.0, 1.0], v)),
+    ("verify_caract pair left", complex, np.eye(4),
+     lambda v: hilbert.verify_caract(M2, [hilbert.MultiplierPair(v, PAIR.right)])),
+    ("verify_commutant_structure pair right", complex, np.eye(4),
+     lambda v: hilbert.verify_commutant_structure(M2, [hilbert.MultiplierPair(PAIR.left, v)])),
     ("plane_wave_bch x0", float, [0, 0], lambda v: plane_wave_bch(v, [0.0, 0.0], SPEC)),
     ("plane_wave_bch x1", float, [0, 0], lambda v: plane_wave_bch([0.0, 0.0], v, SPEC)),
     ("star_exp_ode_check x", float, [0, 0], lambda v: star_exp_ode_check(v, SPEC)),
@@ -184,6 +189,17 @@ MALFORMED = [
     ("CliffordElement string", lambda: clifford.CliffordElement(1, "abcd")),
     ("bch_phase odd length", lambda: bch_phase([1.0, 0.0, 0.0], [0.0, 1.0, 0.0], 2.0)),
     ("group_algebra strings", lambda: hilbert.group_algebra([["e", "a"], ["a", "e"]])),
+    ("bch_phase theta string", lambda: bch_phase([1.0, 0.0], [0.0, 1.0], "a")),
+    ("bch_phase theta zero", lambda: bch_phase([1.0, 0.0], [0.0, 1.0], 0.0)),
+    ("MatrixSymbol theta negative", lambda: MatrixSymbol(2, -1.0, np.zeros((2, 2)))),
+    ("inner_automorphism pair of wrong shape",
+     lambda: hilbert.inner_automorphism(M2, hilbert.MultiplierPair(np.eye(3), np.eye(3)))),
+    ("extend_isomorphism pair of wrong shape",
+     lambda: hilbert.extend_isomorphism(np.eye(4), M2, M2,
+                                        hilbert.MultiplierPair(np.eye(3), np.eye(3)))),
+    ("verify_caract pairs of ints", lambda: hilbert.verify_caract(M2, [1, 2])),
+    ("verify_commutant_structure pairs not a list",
+     lambda: hilbert.verify_commutant_structure(M2, PAIR)),
 ]
 
 
