@@ -19,23 +19,26 @@ times max(top one, 1); `_TOL` is also every verifier's pass bound. The kernel
 takes the normal matrix as its exact diagonal blocks, each an operator that
 can be applied and solved with a shift, computes only the null eigenvectors
 and never reduces a block to tridiagonal form: it estimates the top
-eigenvalue by Lanczos and finds the nullspace of each block by shifted
-inverse subspace iteration (one Cholesky factor) with a Rayleigh–Ritz step on
-a random block that grows until it holds the nullspace and a few spare
-directions. `solve_multipliers` splits its normal by its exact nonzero
-pattern into one block, applied and factored through its Kronecker
-structure, or several (a group, Clifford or matrix algebra on its natural
-basis), each assembled dense. `commutant` and `center` assemble their normal
-dense, and `_null_vectors` splits it the same way (`_components`). Normal
-equations square the condition number of the basis; see `solve_multipliers`
-for the supported range. `errors.gate` raises a ResourceError before a
-normal matrix over `errors.MAX_ENTRIES` entries would be needed, or a tensor
+eigenvalue by Lanczos and finds the nullspace of each block in one round of
+shifted inverse subspace iteration with a Rayleigh–Ritz step. One LDLᴴ
+factor of the block less the cut gives both the solves and, by Sylvester's
+law of inertia, the number of eigenvalues below the cut, which sizes the
+random block to the nullspace and a few spare directions.
+`solve_multipliers` splits its normal by its exact nonzero pattern into one
+block, applied and factored through its Kronecker structure, or several (a
+group, Clifford or matrix algebra on its natural basis), each assembled
+dense. `commutant` and `center` assemble their normal dense, and
+`_null_vectors` splits it the same way (`_components`). Normal equations
+square the condition number of the basis; see `solve_multipliers` for the
+supported range. `errors.gate` raises a ResourceError before a normal
+matrix over `errors.MAX_ENTRIES` entries would be needed, or a tensor
 product or an example's structure tensor over that size is built.
 
-scipy.linalg (Cholesky factors, triangular solves, `orth`, the tridiagonal
-eigensolver) is imported inside the functions that call it, so importing
-this module, or the phase-space modules, which need only numpy, does not
-load it; it loads on the first factorization.
+scipy.linalg (the Gram's Cholesky factor, the LAPACK LDLᴴ factor and the
+BLAS rank-k update, `orth`, the tridiagonal eigensolver) is imported inside
+the functions that call it, so importing this module, or the phase-space
+modules, which need only numpy, does not load it; it loads on the first
+factorization.
 
 Conventions
 -----------
@@ -80,10 +83,7 @@ Side = Literal["left", "right"]
 # nullspace cut relative to max(λ_max, 1), and every verifier's pass bound
 _TOL = 1e-10
 
-# subspace iteration in _block_null_vectors: start width, growth factor, and
-# Ritz values required above the cut
-_START_WIDTH = 8
-_GROWTH = 4
+# width of _block_null_vectors' one round beyond the eigenvalues below the cut
 _OVERSAMPLE = 4
 
 
@@ -257,9 +257,9 @@ def validate_axioms(alg: FiniteHilbertAlgebra) -> dict[str, Any]:
     r = 0.0
     scale = max(1.0, float(np.abs(c).max()) ** 2)
     for i in range(d):
-        lhs = np.einsum("jm,mkl->jkl", c[i], c)      # (e_i e_j) e_k
-        rhs = np.einsum("jkm,ml->jkl", c, c[i])      # e_i (e_j e_k)
-        r = max(r, float(np.abs(lhs - rhs).max()) / scale)
+        lhs = c[i] @ c.reshape(d, d * d)             # (e_i e_j) e_k at [j, (k, l)]
+        rhs = c.reshape(d * d, d) @ c[i]             # e_i (e_j e_k) at [(j, k), l]
+        r = max(r, float(np.abs(lhs.ravel() - rhs.ravel()).max()) / scale)
     res["associativity"] = r
 
     # involution is an involutive conjugate-linear anti-automorphism
@@ -325,8 +325,32 @@ def _components(normal: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
+def _ldl(shifted: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+    """Solve with a Hermitian matrix, and count its negative eigenvalues, from one factor.
+
+    `shifted` is Fortran-ordered, only its lower triangle is read, and it is
+    overwritten by the Bunch–Kaufman factor L D Lᴴ (LAPACK ?hetrf; Bunch &
+    Kaufman, Math. Comp. 31, 1977), with the workspace from its query, since
+    the wrapper's default runs the unblocked path. By Sylvester's law of
+    inertia the matrix has as many negative eigenvalues as D, whose diagonal
+    blocks are 1 × 1, counted by sign, or 2 × 2 (a pair of negative pivot
+    entries) [[a, b], [b̄, c]], counted by the determinant, and by a when the
+    determinant is positive.
+    """
+    from scipy.linalg import lapack
+
+    lwork = int(lapack.zhetrf_lwork(len(shifted), lower=1)[0].real)
+    ldu, ipiv, _ = lapack.zhetrf(shifted, lower=1, lwork=lwork, overwrite_a=1)
+    diag = ldu.diagonal().real
+    first = np.flatnonzero(ipiv < 0)[::2]  # leading index of each 2 × 2 block
+    a, det = diag[first], diag[first] * diag[first + 1] - np.abs(ldu[first + 1, first]) ** 2
+    negatives = (np.count_nonzero(diag[ipiv > 0] < 0) + np.count_nonzero(det < 0)
+                 + 2 * np.count_nonzero((det > 0) & (a < 0)))
+    return (lambda v: lapack.zhetrs(ldu, ipiv, v, lower=1)[0]), int(negatives)
+
+
 class _DenseBlock:
-    """A dense Hermitian PSD block: applied by one GEMM, solved by Cholesky."""
+    """A dense Hermitian PSD block: applied by one GEMM, solved by LDLᴴ."""
 
     def __init__(self, mat: np.ndarray) -> None:
         self.mat = mat
@@ -335,27 +359,29 @@ class _DenseBlock:
     def apply(self, v: np.ndarray) -> np.ndarray:
         return self.mat @ v
 
-    def shifted_solver(self, cut: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Solve with mat + cut·I, factored once."""
-        import scipy.linalg as sla
-
+    def shifted_solver(self, cut: float) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+        """Solve with mat - cut·I, factored once, and its count of eigenvalues below the cut."""
         # the block is Hermitian, so conj(mat)ᵀ is a Fortran-ordered copy LAPACK factors in place
         shifted = np.conj(self.mat).T
-        shifted.flat[::self.size + 1] += cut
-        factor = sla.cho_factor(shifted, overwrite_a=True, check_finite=False)
-        return lambda v: sla.cho_solve(factor, v, check_finite=False)
+        shifted.flat[::self.size + 1] -= cut
+        return _ldl(shifted)
 
 
 class _MultiplierNormal:
     """The solver's normal [[kron(X, I), B], [Bᴴ, kron(Y, I)]], never formed.
 
     X (p x p) and Y (q x q) are Hermitian PSD, B is (p d) x (q d) and I is the
-    d x d identity. The block is applied through X, Y and B. Its shifted
-    Cholesky factor is [[kron(L_X, I), 0], [Gᴴ, L_S]] with L_X = chol(X + cut·I),
-    G = kron(L_X⁻¹, I) B and L_S the factor of the (q d) x (q d) Schur
-    complement kron(Y + cut·I, I) - GᴴG (Golub & Van Loan, Matrix
-    Computations, §4.2): the factor of the dense matrix, in ≈ 0.8 (q d)³
-    complex multiply–adds for p = q instead of ≈ 2.7.
+    d x d identity. The block is applied through X, Y and B. Its shift by
+    -cut·I is solved through a block LDLᴴ factor whose leading block
+    kron(X - cut·I, I) comes from X = Q diag(λ) Qᴴ: with ℓ = λ - cut,
+    G = kron(|ℓ|^-½ Qᴴ, I) B and the (q d) x (q d) Schur complement
+    S = kron(Y - cut·I, I) - Gᴴ kron(sign ℓ, I) G, factored by `_ldl`. The
+    leading block has d #(ℓ < 0) negative eigenvalues, and by Haynsworth's
+    inertia additivity (Linear Algebra Appl. 1, 1968) the whole has those
+    and S's. Every ℓ is positive when X has no eigenvalue below the cut, as
+    in every algebra that passes the axioms, and then GᴴG is one rank-k
+    update: the factor takes ≈ 0.8 (q d)³ complex multiply–adds for p = q
+    instead of ≈ 2.7 for the dense matrix.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, b: np.ndarray, d: int) -> None:
@@ -372,35 +398,38 @@ class _MultiplierNormal:
         out[self.top:] += (top.conj().T @ self.b).conj().T
         return out
 
-    def shifted_solver(self, cut: float) -> Callable[[np.ndarray], np.ndarray]:
-        """Solve with block + cut·I through the block Cholesky factor."""
-        import scipy.linalg as sla
+    def shifted_solver(self, cut: float) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
+        """Solve with block - cut·I through the block LDLᴴ factor, and its count of
+        eigenvalues below the cut."""
+        from scipy.linalg import blas
 
         p, q, d, top = len(self.x), len(self.y), self.d, self.top
-        lx = sla.cholesky(self.x + cut * np.eye(p), lower=True, check_finite=False)
-        g = sla.solve_triangular(lx, self.b.reshape(p, -1), lower=True,
-                                 check_finite=False).reshape(top, -1)
-        # zherk on the Fortran-ordered view gᵀ computes gᵀ conj(g) without a copy;
-        # its transpose is GᴴG with the upper triangle filled, all chol reads
-        schur = np.kron(self.y + cut * np.eye(q), np.eye(d))
-        schur -= sla.blas.zherk(1.0, g.T, lower=1).T
-        u = sla.cholesky(schur, lower=False, overwrite_a=True, check_finite=False)  # L_S = Uᴴ
+        lam, vecs = np.linalg.eigh(self.x)
+        ell = lam - cut
+        low = int(np.count_nonzero(ell < 0)) * d  # eigh sorts λ, so these rows lead G
+        w = vecs.conj().T / np.sqrt(np.abs(ell))[:, None]  # kron(w, I) = kron(|ℓ|^-½ Qᴴ, I)
+        sign = np.repeat(np.sign(ell), d)[:, None]
+        g = (w @ self.b.reshape(p, -1)).reshape(top, -1)
+        # conj(S) = kron(Y - cut·I, I)ᵀ - gᵀ kron(sign ℓ, I) ḡ, in Fortran order: zherk on the
+        # Fortran-ordered views gᵀ of G's two row blocks fills the lower triangle `_ldl` reads,
+        # and S x = r is solved as conj(S) x̄ = r̄
+        schur = np.kron(self.y - cut * np.eye(q), np.eye(d)).T
+        blas.zherk(-1.0, g[low:].T, beta=1.0, c=schur, lower=1, overwrite_c=1)
+        blas.zherk(1.0, g[:low].T, beta=1.0, c=schur, lower=1, overwrite_c=1)
+        conj_solve, negatives = _ldl(schur)
 
         def solve(v: np.ndarray) -> np.ndarray:
             cols = v.shape[1]
-            z1 = sla.solve_triangular(lx, v[:top].reshape(p, -1), lower=True,
-                                      check_finite=False).reshape(top, cols)
-            z2 = sla.solve_triangular(u, v[top:] - (z1.conj().T @ g).conj().T,
-                                      trans="C", check_finite=False)
-            x2 = sla.solve_triangular(u, z2, check_finite=False)
-            x1 = sla.solve_triangular(lx, (z1 - g @ x2).reshape(p, -1), lower=True,
-                                      trans="C", check_finite=False).reshape(top, cols)
+            z1 = (w @ v[:top].reshape(p, -1)).reshape(top, cols)
+            x2 = conj_solve((v[top:] - ((sign * z1).conj().T @ g).conj().T).conj()).conj()
+            x1 = (w.conj().T @ (sign * (z1 - g @ x2)).reshape(p, -1)).reshape(top, cols)
             return np.concatenate([x1, x2])
 
-        return solve
+        return solve, low + negatives
 
 
-# a diagonal block of a normal matrix: `size`, `apply(v)`, `shifted_solver(cut)`
+# a diagonal block of a normal matrix: `size`, `apply(v)`, and `shifted_solver(cut)`,
+# which returns a solve with block - cut·I and its count of eigenvalues below the cut
 _Block = _DenseBlock | _MultiplierNormal
 
 
@@ -445,31 +474,29 @@ def _top_eigenvalue(block: _Block) -> float:
 def _block_null_vectors(block: _Block, cut: float) -> np.ndarray:
     """Orthonormal columns spanning the eigenvectors of a block with eigenvalue <= cut.
 
-    Block inverse subspace iteration with a Rayleigh–Ritz step (Rutishauser,
-    1970): a seeded complex Gaussian block of width `_START_WIDTH` takes two
-    solves with one factor of block + cut·I and then one QR, and the Ritz
-    vectors of the small projected matrix with Ritz value at most the cut
-    are kept. Without a QR between them the two solves amplify the block by
-    at most cut⁻² ≤ 1e20, far from overflow. As in a randomized range
-    finder, the width grows by `_GROWTH` until at least `_OVERSAMPLE` Ritz
-    values lie above the cut, or reaches the block size, where the Ritz step
-    is a full eigensolve. A 1 × 1 block is answered from its one entry.
+    One round of block inverse subspace iteration with a Rayleigh–Ritz step
+    (Rutishauser, 1970), sized by inertia: one LDLᴴ factor of block - cut·I
+    (`shifted_solver`) also counts its k negative eigenvalues, the block's
+    eigenvalues below the cut. A seeded complex Gaussian block of width
+    min(n, k + `_OVERSAMPLE`) takes two solves with that factor and then one
+    QR, and the Ritz vectors of the small projected matrix with Ritz value
+    at most the cut are kept; at width n the Ritz step is a full eigensolve.
+    Without a QR between them the two solves amplify a component at
+    eigenvalue μ by (μ - cut)⁻², about cut⁻² ≤ 1e20 on the null ones, far
+    from overflow unless μ lies on the cut. A 1 × 1 block is answered from
+    its one entry.
     """
     n = block.size
     if n == 1:
         entry = block.apply(np.ones((1, 1)))[0, 0].real
         return np.ones((1, 1 if entry <= cut else 0), dtype=complex)
-    solve = block.shifted_solver(cut)
+    solve, below = block.shifted_solver(cut)
+    width = min(n, below + _OVERSAMPLE)
     rng = np.random.default_rng(0)
-    width = min(n, _START_WIDTH)
-    while True:
-        v = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-        v = np.linalg.qr(solve(solve(v)))[0]
-        ritz, vecs = np.linalg.eigh(v.conj().T @ block.apply(v))
-        kept = ritz <= cut
-        if width - np.count_nonzero(kept) >= _OVERSAMPLE or width == n:
-            return v @ vecs[:, kept]
-        width = min(n, _GROWTH * width)
+    v = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
+    v = np.linalg.qr(solve(solve(v)))[0]
+    ritz, vecs = np.linalg.eigh(v.conj().T @ block.apply(v))
+    return v @ vecs[:, ritz <= cut]
 
 
 def _null_rows(blocks: list[tuple[_Block, np.ndarray]], n: int) -> np.ndarray:
@@ -483,11 +510,12 @@ def _null_rows(blocks: list[tuple[_Block, np.ndarray]], n: int) -> np.ndarray:
     largest Lanczos estimate over the blocks (`_top_eigenvalue`), and each
     block goes to `_block_null_vectors`. By Cauchy interlacing every Ritz
     vector it keeps lies below the cut. Each solve shrinks a component at
-    eigenvalue μ by cut/(μ + cut) relative to the null ones, under 1e-9
-    across the spectral gaps of the solver and commutant normals, and the
-    spare Ritz values above the cut keep the random block wider than the
-    nullspace, so no null direction is missed. Rows are written into one
-    array in block order.
+    eigenvalue μ above the cut by cut/(μ - cut) relative to the null ones,
+    under 1e-9 across the spectral gaps of the solver and commutant normals,
+    and the random block is `_OVERSAMPLE` wider than the block's count of
+    eigenvalues below the cut, taken from the inertia of its factor, so no
+    null direction is missed. Rows are written into one array in block
+    order.
     """
     cut = _TOL * max(max((_top_eigenvalue(blk) for blk, _ in blocks), default=0.0), 1.0)
     vecs = [_block_null_vectors(blk, cut) for blk, _ in blocks]
@@ -576,7 +604,7 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     c[b, j, k] from the structure constants c in the orthonormal frame W.
     The normal is split into the exact blocks of its nonzero pattern
     (`_multiplier_blocks`). One block, as in any algebra in a generic basis,
-    is applied through X, Y and B and solved through a block Cholesky factor
+    is applied through X, Y and B and solved through a block LDLᴴ factor
     whose leading block is a Kronecker product (`_MultiplierNormal`). Several
     blocks, as in a group or Clifford algebra on its group basis or a matrix
     algebra on matrix units, are each assembled dense. The null vectors

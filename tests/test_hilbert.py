@@ -439,7 +439,7 @@ def test_solver_gates_normal_matrix_size():
 @pytest.mark.parametrize("name", ["s3", "mat3", "m2+m3", "cl4", "zero4", "zero1+m2"])
 def test_structured_solver_matches_dense_oracle(name, rotated):
     # the operator and its blocks are the dense normal, and the structured
-    # shifted-Cholesky kernel finds the dense kernel's nullspace; rotated
+    # shifted-LDLᴴ kernel finds the dense kernel's nullspace; rotated
     # zero1+m2 has a singular X with no zero on its diagonal
     alg = oracle_algebra(name, rotated)
     c = frame_structure(alg)
@@ -601,10 +601,13 @@ def test_null_vectors_match_eigh_on_hidden_blocks(case):
 def wide_block_normals(draw, null):
     """One dense block N = U diag(eigs) Uᴴ (Haar U) of size n <= 48 with `null`
     zero eigenvalues (all n when null is None), wide enough that the kernel's
-    random block starts narrower than N and must decide whether to grow.
+    one random block can be narrower than N.
 
-    A width w stops once w - k >= 4 Ritz values lie above the cut, so nullities
-    3, 4, 5 straddle the stop at width 8 and 27, 28, 29 the stop at width 32.
+    The kernel's width is min(n, k + 4) for the k eigenvalues below the cut
+    (the nullity, plus one with the near-cut pair), and n >= 9 (n >= 33 from
+    nullity 8): nullities 3 and 27 always give a block narrower than N, and
+    4, 5, 28 and 29 can give one as wide as N at the smallest n, where the
+    Ritz step is a full eigensolve.
     The nonzero eigenvalues lie in [1/4, 4] with 4 attained, so the cut is
     4e-10 at `_TOL` = 1e-10; optionally two of them move to 0.5 cut and 2 cut. An
     all-null block has eigenvalues in [0, 5e-11], below its cut of 1e-10.
@@ -644,8 +647,9 @@ def test_null_vectors_match_eigh_across_block_widths(null, data):
 
 
 def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
-    # the nullspace kernel only eigensolves Rayleigh–Ritz matrices; here every
-    # block stops by width 32, against the structured solver blocks of 512
+    # the nullspace kernel only eigensolves Rayleigh–Ritz matrices, of width
+    # nullity + 4, and `_MultiplierNormal` its d x d matrix X; here every
+    # nullity is at most 16, against the structured solver blocks of 512
     # (mat4) and 338 (m2+m3) and the commutant normals of 169 (m2+m3 on H)
     sizes = []
 
@@ -668,7 +672,7 @@ def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
     m2m3 = hilbert.combine(named_algebra("mat2"), named_algebra("mat3"), mode="direct_sum")
     assert hilbert.verify_caract(hilbert.change_basis(m2m3, haar_unitary(rng, 13)))["pass"]
     assert sorted(set(blocks)) == [169, 338, 512]
-    assert sizes and max(sizes) <= hilbert._START_WIDTH * hilbert._GROWTH
+    assert sizes and max(sizes) <= 16 + hilbert._OVERSAMPLE
 
 
 def test_null_vectors_edge_cases():
@@ -678,6 +682,89 @@ def test_null_vectors_edge_cases():
     assert full.shape == (5, 5)
     assert np.abs(full @ full.conj().T - np.eye(5)).max() <= 1e-15
     assert hilbert._null_vectors(np.eye(7)).shape == (0, 7)
+
+
+@st.composite
+def planted_psd_blocks(draw):
+    """A Haar-rotated PSD block of size n <= 40 with a planted nullity and its
+    other eigenvalues in [1/4, 4], two of them optionally moved to 0.5 cut and
+    2 cut for the cut 4e-10."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    null = draw(st.integers(0, n))
+    eigs = np.concatenate([np.zeros(null), rng.uniform(0.25, 4.0, n - null)])
+    if n - null >= 2 and draw(st.booleans()):
+        eigs[null:null + 2] = [0.5 * 4e-10, 2.0 * 4e-10]
+    u = haar_unitary(rng, n)
+    return (u * eigs) @ u.conj().T
+
+
+@given(planted_psd_blocks())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_dense_block_counts_eigenvalues_below_the_cut(normal):
+    # the negative eigenvalues of one LDLᴴ factor of N - cut·I are N's below the cut
+    _, below = hilbert._DenseBlock(normal).shifted_solver(4e-10)
+    assert below == np.count_nonzero(np.linalg.eigvalsh(normal) < 4e-10)
+
+
+def test_dense_block_counts_two_by_two_pivots():
+    # N - cut·I has an exactly zero diagonal, so Bunch–Kaufman must take
+    # 2 x 2 pivots (here 5 of them), and the count goes through their
+    # determinants; measured worst residual over seeds 0-29: 4.5e-16
+    rng = np.random.default_rng(3)
+    h = rng.standard_normal((12, 12)) + 1j * rng.standard_normal((12, 12))
+    h += h.conj().T
+    np.fill_diagonal(h, 0.0)
+    cut = 1e-10
+    normal = h + cut * np.eye(12)
+    assert (scipy.linalg.lapack.zhetrf(h, lower=1)[1] < 0).any()
+    solve, below = hilbert._DenseBlock(normal).shifted_solver(cut)
+    assert below == np.count_nonzero(np.linalg.eigvalsh(normal) < cut) > 0
+    v = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    x = solve(v)
+    assert np.linalg.norm(h @ x - v) <= 2e-15 * np.linalg.norm(h, 2) * np.linalg.norm(x)
+
+
+@pytest.mark.parametrize("name", ["zero1+m2", "mat3"])
+def test_multiplier_normal_counts_and_solves_like_the_dense_normal(name):
+    # rotated zero1+m2 has a singular X, so the factor takes the signed Schur
+    # complement. Measured worst residual over 120 random columns, relative
+    # to ‖N - cut·I‖₂ ‖x‖: 1.6e-16 (zero1+m2) and 3.7e-16 (mat3), against
+    # 1.5e-16 and 2.3e-16 for a dense LDLᴴ solve
+    c = frame_structure(oracle_algebra(name, rotated=True))
+    (block, _), = hilbert._multiplier_blocks(c)
+    cut = hilbert._TOL * max(hilbert._top_eigenvalue(block), 1.0)
+    assert (np.linalg.eigvalsh(block.x) < cut).any() == (name == "zero1+m2")
+    normal = dense_solver_normal(c)
+    shifted = normal - cut * np.eye(len(normal))
+    solve, below = block.shifted_solver(cut)
+    assert below == np.count_nonzero(np.linalg.eigvalsh(normal) < cut) > 0
+    rng = np.random.default_rng(1)
+    v = rng.standard_normal((len(normal), 6)) + 1j * rng.standard_normal((len(normal), 6))
+    x = solve(v)
+    resid = np.linalg.norm(shifted @ x - v, axis=0) / np.linalg.norm(x, axis=0)
+    assert resid.max() <= 1e-15 * np.linalg.norm(shifted, 2)
+
+
+def test_multiplier_normal_signed_schur_complement():
+    # on a solver normal, B vanishes along X's null directions, so G's rows
+    # with ℓ < 0 are noise; here X - cut·I has eigenvalues -3, -0.5, 2 and B
+    # is random, so those rows carry weight in S. Measured residual 3.4e-16,
+    # worst 7.0e-16 over seeds 0-29
+    rng = np.random.default_rng(4)
+    d, cut = 2, 1.0
+    u = haar_unitary(rng, 3)
+    x = (u * np.array([-2.0, 0.5, 3.0])) @ u.conj().T
+    y = haar_unitary(rng, 3)
+    y = (y * rng.uniform(-1.0, 4.0, 3)) @ y.conj().T
+    b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
+    block = hilbert._MultiplierNormal(x, y, b, d)
+    shifted = block.apply(np.eye(12)) - cut * np.eye(12)
+    solve, below = block.shifted_solver(cut)
+    assert below == np.count_nonzero(np.linalg.eigvalsh(shifted) < 0)
+    v = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
+    sol = solve(v)
+    assert np.linalg.norm(shifted @ sol - v) <= 2e-15 * np.linalg.norm(shifted, 2) * np.linalg.norm(sol)
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e5])
