@@ -19,8 +19,10 @@ The (4^m, 4^m) sign table serves only as the exact oracle behind the dense
 export and the associativity check.
 
 `verify_unital_multipliers` checks the unital collapse of the multiplier
-space for 1 <= m <= 3 by solving for the pairs of the dense export
-(`hilbert.solve_multipliers`).
+space for 1 <= m <= 3 on the dense export, with the nullspace kernel
+(`hilbert._null_pairs`) as its oracle: `solve_multipliers` builds the pairs
+from the collapse itself, so it is checked against the kernel, not against
+itself.
 """
 
 from __future__ import annotations
@@ -32,7 +34,8 @@ from typing import Any
 import numpy as np
 
 from .errors import SpecMismatch, array, gate, whole
-from .hilbert import FiniteHilbertAlgebra, regular_representation, solve_multipliers
+from .hilbert import (FiniteHilbertAlgebra, _null_pairs, regular_representation,
+                      solve_multipliers)
 
 _VERIFY_MAX_M = 3
 _RANK = "number m of generator pairs"
@@ -235,11 +238,15 @@ def verify_unital_multipliers(m: int) -> dict[str, Any]:
     lambda_u(1) = u.  So (L, R) -> L(1) is a bijection onto the algebra and
     the multiplier space has dimension 4^m.
 
-    The full nullspace solve runs on the dense export, and every solved pair
-    must come from left/right multiplication by L(1).  The solver splits the
-    export into 4^m exact blocks of 2 * 4^m unknowns, which puts m = 3 in
-    reach.  m >= 4 raises SpecMismatch: its solver normal, (2 * 16^m)^2
-    entries, is far above `errors.gate`.
+    `hilbert.solve_multipliers` builds its pairs from this collapse, so the
+    check runs its oracle, the full nullspace solve of the kernel
+    (`hilbert._null_pairs`), on the dense export: every kernel pair must come
+    from left/right multiplication by L(1), and every pair `solve_multipliers`
+    returns must lie in the kernel pairs' span (`collapse_residual`, relative
+    to the pair's norm), with as many pairs.  The kernel splits the export
+    into 4^m exact blocks of 2 * 4^m unknowns, which puts m = 3 in reach.
+    m >= 4 raises SpecMismatch: its solver normal, (2 * 16^m)^2 entries, is
+    far above `errors.gate`.
     """
     if whole(m, _RANK, 1) > _VERIFY_MAX_M:
         raise SpecMismatch(f"multiplier verification supports 1 <= m <= {_VERIFY_MAX_M}")
@@ -250,7 +257,7 @@ def verify_unital_multipliers(m: int) -> dict[str, Any]:
     report["exact_anticommutation"] = _exact_anticommutation(m)
 
     alg = as_hilbert_algebra(m)
-    pairs = solve_multipliers(alg)
+    pairs = _null_pairs(alg)
     one = np.zeros(d, dtype=complex)
     one[0] = 1.0
     images = np.array([p.left @ one for p in pairs])
@@ -264,13 +271,21 @@ def verify_unital_multipliers(m: int) -> dict[str, Any]:
                       float(np.linalg.norm(p.right - regular_representation(alg, u, "right"))))
     sv = np.linalg.svd(images, compute_uv=False)
     bijection = float(sv[-1]) if len(pairs) == d else 0.0
+    # each collapse pair (L, R), stacked, against the kernel pairs' orthonormalised span
+    solved = solve_multipliers(alg)
+    span = np.linalg.qr(np.array([np.append(p.left, p.right) for p in pairs]).T)[0]
+    stacked = np.array([np.append(p.left, p.right) for p in solved]).T
+    collapse = float((np.linalg.norm(stacked - span @ (span.conj().T @ stacked), axis=0)
+                      / np.linalg.norm(stacked, axis=0)).max())
     report.update({
         "dimension": len(pairs),
+        "solver_dimension": len(solved),
         "l1_equals_r1": l_vs_r,
         "rebuild_residual": rebuild,
         "bijection_min_sv": bijection,
-        "pass": (len(pairs) == d and report["exact_associativity"]
-                 and report["exact_anticommutation"]
-                 and l_vs_r <= 1e-10 and rebuild <= 1e-10 and bijection > 1e-6),
+        "collapse_residual": collapse,
+        "pass": (len(pairs) == len(solved) == d and report["exact_associativity"]
+                 and report["exact_anticommutation"] and l_vs_r <= 1e-10
+                 and rebuild <= 1e-10 and bijection > 1e-6 and collapse <= 1e-10),
     })
     return report

@@ -12,33 +12,34 @@ exact identity: for C unitary, the commutant of the ᴴ-closed set
 diag(A, C⁻¹AC) is {[[q₁, q₂C], [C⁻¹q₃, C⁻¹q₄C]] : qᵢ ∈ Q = {A}'}, of
 dimension 4 dim Q, and its bicommutant is {diag(z, C⁻¹zC) : z ∈ Q'}.
 
-Multiplier pairs, commutants and the center are nullspaces, all taken by one
-kernel, `_null_rows`: the eigenvectors of a closed-form Hermitian normal
-matrix AᴴA (A itself is never built) with eigenvalue at most `_TOL` = 1e-10
-times max(top one, 1); `_TOL` is also every verifier's pass bound. The kernel
-takes the normal matrix as its exact diagonal blocks, each an operator that
-can be applied and solved with a shift, computes only the null eigenvectors
-and never reduces a block to tridiagonal form: it estimates the top
-eigenvalue by Lanczos and finds the nullspace of each block in one round of
-shifted inverse subspace iteration with a Rayleigh–Ritz step. One LDLᴴ
-factor of the block less the cut gives both the solves and, by Sylvester's
-law of inertia, the number of eigenvalues below the cut, which sizes the
-random block to the nullspace and a few spare directions.
-`solve_multipliers` splits its normal by its exact nonzero pattern into one
-block, applied and factored through its Kronecker structure, or several (a
-group, Clifford or matrix algebra on its natural basis), each assembled
-dense. `commutant` and `center` assemble their normal dense, and
-`_null_vectors` splits it the same way (`_components`). Normal equations
-square the condition number of the basis; see `solve_multipliers` for the
-supported range. `errors.gate` raises a ResourceError before a normal
-matrix over `errors.MAX_ENTRIES` entries would be needed, or a tensor
-product or an example's structure tensor over that size is built.
+The multiplier pairs of a unital algebra, which every algebra that passes
+`validate_axioms` is, are (λ(a), ρ(a)) (the paper's first result, in finite
+dimension), and `solve_multipliers` builds them in closed form. The pairs of
+an algebra without a unit, commutants and the center are nullspaces, all
+taken by one kernel, `_null_rows`: the eigenvectors of a closed-form
+Hermitian normal matrix AᴴA (A itself is never built) with eigenvalue at most
+`_TOL` = 1e-10 times max(top one, 1); `_TOL` is also every verifier's pass
+bound. The kernel takes the normal matrix as its exact diagonal blocks, each
+dense, computes only the null eigenvectors and never reduces a block to
+tridiagonal form: it estimates the top eigenvalue by Lanczos and finds the
+nullspace of each block in one round of shifted inverse subspace iteration
+with a Rayleigh–Ritz step. One LDLᴴ factor of the block less the cut gives
+both the solves and, by Sylvester's law of inertia, the number of
+eigenvalues below the cut, which sizes the random block to the nullspace and
+a few spare directions. The multiplier normal is split by its exact nonzero
+pattern (`_multiplier_blocks`) into one block, or several on a group,
+Clifford or matrix algebra's natural basis. `commutant` and `center`
+assemble their normal dense, and `_null_vectors` splits it the same way
+(`_components`). Normal equations square the condition number of the basis;
+see `_null_pairs` for the supported range. `errors.gate` raises a
+ResourceError before a normal matrix over `errors.MAX_ENTRIES` entries would
+be needed, or a tensor product or an example's structure tensor over that
+size is built.
 
-scipy.linalg (the Gram's Cholesky factor, the LAPACK LDLᴴ factor and the
-BLAS rank-k update, `orth`, the tridiagonal eigensolver) is imported inside
-the functions that call it, so importing this module, or the phase-space
-modules, which need only numpy, does not load it; it loads on the first
-factorization.
+scipy.linalg (the Gram's Cholesky factor, the LAPACK LDLᴴ factor, `orth`,
+the tridiagonal eigensolver) is imported inside the functions that call it,
+so importing this module, or the phase-space modules, which need only numpy,
+does not load it; it loads on the first factorization.
 
 Conventions
 -----------
@@ -367,73 +368,7 @@ class _DenseBlock:
         return _ldl(shifted)
 
 
-class _MultiplierNormal:
-    """The solver's normal [[kron(X, I), B], [Bᴴ, kron(Y, I)]], never formed.
-
-    X (p x p) and Y (q x q) are Hermitian PSD, B is (p d) x (q d) and I is the
-    d x d identity. The block is applied through X, Y and B. Its shift by
-    -cut·I is solved through a block LDLᴴ factor whose leading block
-    kron(X - cut·I, I) comes from X = Q diag(λ) Qᴴ: with ℓ = λ - cut,
-    G = kron(|ℓ|^-½ Qᴴ, I) B and the (q d) x (q d) Schur complement
-    S = kron(Y - cut·I, I) - Gᴴ kron(sign ℓ, I) G, factored by `_ldl`. The
-    leading block has d #(ℓ < 0) negative eigenvalues, and by Haynsworth's
-    inertia additivity (Linear Algebra Appl. 1, 1968) the whole has those
-    and S's. Every ℓ is positive when X has no eigenvalue below the cut, as
-    in every algebra that passes the axioms, and then GᴴG is one rank-k
-    update: the factor takes ≈ 0.8 (q d)³ complex multiply–adds for p = q
-    instead of ≈ 2.7 for the dense matrix.
-    """
-
-    def __init__(self, x: np.ndarray, y: np.ndarray, b: np.ndarray, d: int) -> None:
-        self.x, self.y, self.b, self.d = x, y, b, d
-        self.top = len(x) * d  # rows of the kron(X, I) half
-        self.size = self.top + len(y) * d
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        top, bot, cols = v[:self.top], v[self.top:], v.shape[1]
-        out = np.empty(v.shape, dtype=complex)
-        out[:self.top] = (self.x @ top.reshape(len(self.x), -1)).reshape(-1, cols)
-        out[:self.top] += self.b @ bot
-        out[self.top:] = (self.y @ bot.reshape(len(self.y), -1)).reshape(-1, cols)
-        out[self.top:] += (top.conj().T @ self.b).conj().T
-        return out
-
-    def shifted_solver(self, cut: float) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-        """Solve with block - cut·I through the block LDLᴴ factor, and its count of
-        eigenvalues below the cut."""
-        from scipy.linalg import blas
-
-        p, q, d, top = len(self.x), len(self.y), self.d, self.top
-        lam, vecs = np.linalg.eigh(self.x)
-        ell = lam - cut
-        low = int(np.count_nonzero(ell < 0)) * d  # eigh sorts λ, so these rows lead G
-        w = vecs.conj().T / np.sqrt(np.abs(ell))[:, None]  # kron(w, I) = kron(|ℓ|^-½ Qᴴ, I)
-        sign = np.repeat(np.sign(ell), d)[:, None]
-        g = (w @ self.b.reshape(p, -1)).reshape(top, -1)
-        # conj(S) = kron(Y - cut·I, I)ᵀ - gᵀ kron(sign ℓ, I) ḡ, in Fortran order: zherk on the
-        # Fortran-ordered views gᵀ of G's two row blocks fills the lower triangle `_ldl` reads,
-        # and S x = r is solved as conj(S) x̄ = r̄
-        schur = np.kron(self.y - cut * np.eye(q), np.eye(d)).T
-        blas.zherk(-1.0, g[low:].T, beta=1.0, c=schur, lower=1, overwrite_c=1)
-        blas.zherk(1.0, g[:low].T, beta=1.0, c=schur, lower=1, overwrite_c=1)
-        conj_solve, negatives = _ldl(schur)
-
-        def solve(v: np.ndarray) -> np.ndarray:
-            cols = v.shape[1]
-            z1 = (w @ v[:top].reshape(p, -1)).reshape(top, cols)
-            x2 = conj_solve((v[top:] - ((sign * z1).conj().T @ g).conj().T).conj()).conj()
-            x1 = (w.conj().T @ (sign * (z1 - g @ x2)).reshape(p, -1)).reshape(top, cols)
-            return np.concatenate([x1, x2])
-
-        return solve, low + negatives
-
-
-# a diagonal block of a normal matrix: `size`, `apply(v)`, and `shifted_solver(cut)`,
-# which returns a solve with block - cut·I and its count of eigenvalues below the cut
-_Block = _DenseBlock | _MultiplierNormal
-
-
-def _top_eigenvalue(block: _Block) -> float:
+def _top_eigenvalue(block: _DenseBlock) -> float:
     """Largest eigenvalue of a Hermitian PSD block by Lanczos.
 
     The start vector comes from a fixed seed, so the estimate is
@@ -471,7 +406,7 @@ def _top_eigenvalue(block: _Block) -> float:
     return 0.0  # n = 0
 
 
-def _block_null_vectors(block: _Block, cut: float) -> np.ndarray:
+def _block_null_vectors(block: _DenseBlock, cut: float) -> np.ndarray:
     """Orthonormal columns spanning the eigenvectors of a block with eigenvalue <= cut.
 
     One round of block inverse subspace iteration with a Rayleigh–Ritz step
@@ -499,7 +434,7 @@ def _block_null_vectors(block: _Block, cut: float) -> np.ndarray:
     return v @ vecs[:, ritz <= cut]
 
 
-def _null_rows(blocks: list[tuple[_Block, np.ndarray]], n: int) -> np.ndarray:
+def _null_rows(blocks: list[tuple[_DenseBlock, np.ndarray]], n: int) -> np.ndarray:
     """Orthonormal rows spanning the numerical nullspace of an n x n PSD matrix.
 
     The matrix is given by its exact diagonal blocks, each with the indices
@@ -561,16 +496,16 @@ def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
     return defects
 
 
-def _multiplier_blocks(c: np.ndarray) -> list[tuple[_Block, np.ndarray]]:
+def _multiplier_blocks(c: np.ndarray) -> list[tuple[_DenseBlock, np.ndarray]]:
     """Exact diagonal blocks of the solver's normal matrix for frame constants c.
 
     Unknown L[a, j] has index a d + j and R[b, i] index d² + b d + i. The
     blocks are the components (`_components`) of the normal's exact nonzero
-    pattern [[kron(X ≠ 0, I), B ≠ 0], [(B ≠ 0)ᵀ, kron(Y ≠ 0, I)]]. A single
-    component, as in every Haar-rotated algebra, is one `_MultiplierNormal`;
-    otherwise each component is one `_DenseBlock` taken from X, Y and B. A
-    free unknown, such as L[a, ·] when X[a, a] = 0, is an isolated 1 × 1
-    block. Twisted group algebras split into d blocks of 2d (Cl(6): 64 of 128).
+    pattern [[kron(X ≠ 0, I), B ≠ 0], [(B ≠ 0)ᵀ, kron(Y ≠ 0, I)]], each one
+    `_DenseBlock` taken from X, Y and B: a single component in any
+    Haar-rotated algebra, several on a natural basis. A free unknown, such
+    as L[a, ·] when X[a, a] = 0, is an isolated 1 × 1 block. Twisted group
+    algebras split into d blocks of 2d (Cl(6): 64 of 128).
     """
     d = c.shape[0]
     dd = d * d
@@ -582,8 +517,6 @@ def _multiplier_blocks(c: np.ndarray) -> list[tuple[_Block, np.ndarray]]:
     b = b.reshape(dd, dd)
     eye, nz = np.eye(d, dtype=bool), b != 0
     comps = _components(np.block([[np.kron(x != 0, eye), nz], [nz.T, np.kron(y != 0, eye)]]))
-    if len(comps) == 1:
-        return [(_MultiplierNormal(x, y, b, d), comps[0])]
     blocks = []
     for idx in comps:
         top, bot = idx[idx < dd], idx[idx >= dd] - dd
@@ -595,32 +528,43 @@ def _multiplier_blocks(c: np.ndarray) -> list[tuple[_Block, np.ndarray]]:
     return blocks
 
 
-def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
-    """All pairs (L,R) with lam(x) L(y) = rho(y) R(x), as a nullspace.
+def _frame_pairs(alg: FiniteHilbertAlgebra, rows: np.ndarray, w: np.ndarray,
+                 winv: np.ndarray) -> list[MultiplierPair]:
+    """Pairs on coordinates, W⁻¹ L_W W and W⁻¹ R_W W, from rows (L_W, R_W) in the frame.
+
+    Each pair's defect is measured on its own, so no residual is larger than
+    the structure tensor, even for the 2d² pairs of a degenerate algebra.
+    """
+    d = alg.dim
+    dd = d * d
+    lefts = winv @ rows[:, :dd].reshape(-1, d, d) @ w
+    rights = winv @ rows[:, dd:].reshape(-1, d, d) @ w
+    defects = _pair_defects(alg, lefts, rights)
+    return [MultiplierPair(lm, rm, float(e)) for lm, rm, e in zip(lefts, rights, defects)]
+
+
+def _null_pairs(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
+    """All multiplier pairs as a nullspace: the kernel path of `solve_multipliers`.
 
     Neither the d³ x 2d² defect system nor its 2d² x 2d² normal matrix
     [[kron(X, I), B], [Bᴴ, kron(Y, I)]] is built, with X = sum_i lam_iᴴ lam_i,
     Y = sum_j rho_jᴴ rho_j and B[(a, j), (b, i)] = -sum_k conj(c[i, a, k])
     c[b, j, k] from the structure constants c in the orthonormal frame W.
     The normal is split into the exact blocks of its nonzero pattern
-    (`_multiplier_blocks`). One block, as in any algebra in a generic basis,
-    is applied through X, Y and B and solved through a block LDLᴴ factor
-    whose leading block is a Kronecker product (`_MultiplierNormal`). Several
-    blocks, as in a group or Clifford algebra on its group basis or a matrix
-    algebra on matrix units, are each assembled dense. The null vectors
-    (L_W, R_W), with eigenvalue at most `_TOL` times the top one, are
-    orthonormal in that stacked vectorization and are returned on coordinates
-    as W⁻¹ L_W W, W⁻¹ R_W W.
+    (`_multiplier_blocks`), each assembled dense: one block in a generic
+    basis, several in a group or Clifford algebra on its group basis or a
+    matrix algebra on matrix units. The null vectors (L_W, R_W), with
+    eigenvalue at most `_TOL` times the top one, are orthonormal in that
+    stacked vectorization.
 
     Normal equations square the condition number of a basis change q. For
     q = O diag(logspace) Oᵀ on s3, mat2 and c3, pair counts are right through
     cond(q) = 1e4 and break at 1e5; defects relative to max|c| ‖L‖_F grow as
-    cond(q)², up to 7e-12 at 1e3 and 4e-9 at 1e4. `verify_caract` passes
-    through cond(q) = 1e2. `errors.gate` raises ResourceError when the
-    normal matrix the solve stands for (4d⁴ entries, a bound on its d⁴ work
+    cond(q)², up to 7e-12 at 1e3 and 4e-9 at 1e4. `errors.gate` raises
+    ResourceError when the normal matrix (4d⁴ entries, a bound on its d⁴ work
     arrays and its 4d⁴ boolean pattern) would exceed `errors.MAX_ENTRIES`.
-    Each pair's defect is measured on its own, so no residual is larger than
-    the structure tensor, even for the 2d² pairs of a degenerate algebra.
+    `clifford.verify_unital_multipliers` calls this path directly, as the
+    oracle of the unital collapse.
     """
     d = alg.dim
     dd = d * d
@@ -628,11 +572,44 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     w = alg.frame()
     winv = np.linalg.inv(w)
     null = _null_rows(_multiplier_blocks(change_basis(alg, winv).structure), 2 * dd)
+    return _frame_pairs(alg, null, w, winv)
 
-    lefts = winv @ null[:, :dd].reshape(-1, d, d) @ w
-    rights = winv @ null[:, dd:].reshape(-1, d, d) @ w
-    defects = _pair_defects(alg, lefts, rights)
-    return [MultiplierPair(lm, rm, float(e)) for lm, rm, e in zip(lefts, rights, defects)]
+
+def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
+    """All pairs (L,R) with lam(x) L(y) = rho(y) R(x), orthonormal in the frame.
+
+    With a two-sided unit 1 (`FiniteHilbertAlgebra.unit`), which every
+    algebra that passes `validate_axioms` has, the pairs are exactly
+    (lam(a), rho(a)): y = 1 gives R = rho(L(1)), x = 1 gives L = lam(R(1)),
+    and x = y = 1 gives L(1) = R(1); conversely associativity makes every
+    (lam(a), rho(a)) a pair, and lam(a) 1 = a makes a -> (lam(a), rho(a))
+    injective. So the d pairs (lam(e_i), rho(e_i)), the stacks
+    c.transpose(0, 2, 1) and c.transpose(1, 2, 0), span them. They are taken
+    to the orthonormal frame W (gram = W†W) as W lam W⁻¹ and W rho W⁻¹,
+    stacked as d vectors of 2d² entries and orthonormalised by one QR, so the
+    pairs (L_W, R_W) are orthonormal in the stacked vectorization, and are
+    returned on coordinates as W⁻¹ L_W W, W⁻¹ R_W W. Nothing larger than a
+    few structure tensors is allocated. With no normal equations, defects
+    relative to max|c| ‖L‖_F grow more slowly in a basis change q than the
+    kernel's: for q = O diag(logspace) Oᵀ on s3, mat2 and c3 (twelve O
+    each), up to 4.5e-14, 5.4e-13 and 1.1e-12 at cond(q) = 1e2, 1e3 and 1e4,
+    where `unit` still finds the unit for most O. `verify_caract`, whose
+    commutants are still normal equations, passes through cond(q) = 1e2.
+
+    An algebra without a unit (one with a zero summand, which fails product
+    density), or one whose unit `unit` cannot certify (some bases at cond(q)
+    ≥ 1e4), goes to the nullspace kernel (`_null_pairs`), whose gate,
+    conditioning and cost are stated there.
+    """
+    if alg.unit() is None:
+        return _null_pairs(alg)
+    c = alg.structure
+    d = alg.dim
+    w = alg.frame()
+    winv = np.linalg.inv(w)
+    stacks = w @ np.stack([c.transpose(0, 2, 1), c.transpose(1, 2, 0)], axis=1) @ winv
+    rows = np.linalg.qr(stacks.reshape(d, 2 * d * d).T)[0].T
+    return _frame_pairs(alg, rows, w, winv)
 
 
 def _commutant_normal(gens: np.ndarray) -> np.ndarray:

@@ -409,6 +409,87 @@ def test_solver_and_verifiers_on_rotated_combinations(alg):
     assert hilbert.verify_commutant_structure(alg, pairs=pairs)["pass"]
 
 
+def frame_pair_rows(alg: hilbert.FiniteHilbertAlgebra, pairs) -> np.ndarray:
+    """The pairs as rows (W L W⁻¹, W R W⁻¹) of 2d² entries, in the frame."""
+    w = alg.frame()
+    winv = np.linalg.inv(w)
+    lefts = w @ np.array([p.left for p in pairs]) @ winv
+    rights = w @ np.array([p.right for p in pairs]) @ winv
+    return np.concatenate([lefts.reshape(len(pairs), -1), rights.reshape(len(pairs), -1)], axis=1)
+
+
+@given(rotated_combinations())
+@settings(derandomize=True, max_examples=30, deadline=None)
+def test_unital_pairs_span_the_kernel_nullspace(alg):
+    # the closed-form pairs (λ(e_i), ρ(e_i)), orthonormalised in the frame,
+    # against the nullspace kernel on the solver normal. Both sides, and the
+    # round trip through coordinates, move by about ε cond(W)², which reaches
+    # 1e-12 at cond(W) = cond(q) ≈ 1e2: against a 40-digit frame span, the
+    # kernel and the collapse each sat 2.4e-13 to 1.5e-12 off at cond(W) ≈ 75.
+    # Over 200 examples the worst was 1.9e-15 cond(W)² apart and 1.1e-15
+    # cond(W)² from orthonormal, and 2.3e-15 apart at cond(W) < 3
+    pairs = hilbert.solve_multipliers(alg)
+    rows = frame_pair_rows(alg, pairs)
+    null = hilbert._null_rows(hilbert._multiplier_blocks(frame_structure(alg)), rows.shape[1])
+    assert rows.shape == null.shape == (alg.dim, 2 * alg.dim ** 2)
+    bound = 1e-14 + 4e-15 * np.linalg.cond(alg.frame()) ** 2
+    assert np.abs(rows @ rows.conj().T - np.eye(alg.dim)).max() <= bound
+    assert row_span_distance(rows, null) <= bound
+
+
+@pytest.mark.parametrize("rotated", [False, True])
+@pytest.mark.parametrize("name", ["mat1", "s3", "mat3", "m2+m3", "cl4", "zero4", "zero1+m2"])
+def test_solver_takes_the_kernel_only_without_a_unit(monkeypatch, name, rotated):
+    # a unital algebra never reaches the nullspace kernel; one with a zero
+    # summand has no unit and does, once, on its whole normal
+    alg = oracle_algebra(name, rotated)
+    unital = not name.startswith("zero")
+    assert (alg.unit() is not None) == unital
+    calls = []
+    kernel = hilbert._null_rows
+
+    def recording(blocks, n):
+        if unital:
+            raise AssertionError("the nullspace kernel ran on a unital algebra")
+        calls.append(n)
+        return kernel(blocks, n)
+
+    monkeypatch.setattr(hilbert, "_null_rows", recording)
+    pairs = hilbert.solve_multipliers(alg)
+    assert calls == ([] if unital else [2 * alg.dim ** 2])
+    assert len(pairs) == (alg.dim if unital else {"zero4": 32, "zero1+m2": 14}[name])
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_unital_verification_keeps_the_kernel_as_oracle(monkeypatch, m):
+    # verify_unital_multipliers checks the collapse against the nullspace
+    # kernel, not against the collapse itself
+    calls = []
+    kernel = hilbert._null_rows
+    monkeypatch.setattr(hilbert, "_null_rows",
+                        lambda blocks, n: calls.append(n) or kernel(blocks, n))
+    report = clifford.verify_unital_multipliers(m)
+    assert report["pass"] and report["solver_dimension"] == 4 ** m
+    assert calls == [2 * 16 ** m]
+    # measured 3.2e-16 and 5.2e-16
+    assert report["collapse_residual"] <= 2e-15
+
+
+def test_unital_verification_catches_a_wrong_collapse(monkeypatch):
+    # a pair outside the kernel's span fails the check, even with the right count
+    solve = hilbert.solve_multipliers
+
+    def skewed(alg):
+        pairs = solve(alg)
+        pairs[0].left = pairs[0].left + 1e-6 * np.eye(alg.dim)[::-1]
+        return pairs
+
+    monkeypatch.setattr(clifford, "solve_multipliers", skewed)
+    report = clifford.verify_unital_multipliers(1)
+    assert report["solver_dimension"] == 4 and not report["pass"]
+    assert report["collapse_residual"] > 1e-7
+
+
 @pytest.mark.parametrize("cond", [1.0, 1e1, 1e2, 1e3, 1e4])
 @pytest.mark.parametrize("name, count", [("s3", 6), ("mat2", 4), ("c3", 3)])
 def test_solver_conditioning_range(name, count, cond):
@@ -648,9 +729,9 @@ def test_null_vectors_match_eigh_across_block_widths(null, data):
 
 def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
     # the nullspace kernel only eigensolves Rayleigh–Ritz matrices, of width
-    # nullity + 4, and `_MultiplierNormal` its d x d matrix X; here every
-    # nullity is at most 16, against the structured solver blocks of 512
-    # (mat4) and 338 (m2+m3) and the commutant normals of 169 (m2+m3 on H)
+    # nullity + 4, and the unital solves of mat4 and m2+m3 take no kernel
+    # block, so the commutant normals of 169 (m2+m3 on H) are the only ones;
+    # their nullities are 13, the dimension of λ(A)' and of λ(A)''
     sizes = []
 
     def recording(solver):
@@ -671,8 +752,8 @@ def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
     assert len(pairs) == 16
     m2m3 = hilbert.combine(named_algebra("mat2"), named_algebra("mat3"), mode="direct_sum")
     assert hilbert.verify_caract(hilbert.change_basis(m2m3, haar_unitary(rng, 13)))["pass"]
-    assert sorted(set(blocks)) == [169, 338, 512]
-    assert sizes and max(sizes) <= 16 + hilbert._OVERSAMPLE
+    assert sorted(set(blocks)) == [169]
+    assert sizes and max(sizes) <= 13 + hilbert._OVERSAMPLE
 
 
 def test_null_vectors_edge_cases():
@@ -723,48 +804,6 @@ def test_dense_block_counts_two_by_two_pivots():
     v = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
     x = solve(v)
     assert np.linalg.norm(h @ x - v) <= 2e-15 * np.linalg.norm(h, 2) * np.linalg.norm(x)
-
-
-@pytest.mark.parametrize("name", ["zero1+m2", "mat3"])
-def test_multiplier_normal_counts_and_solves_like_the_dense_normal(name):
-    # rotated zero1+m2 has a singular X, so the factor takes the signed Schur
-    # complement. Measured worst residual over 120 random columns, relative
-    # to ‖N - cut·I‖₂ ‖x‖: 1.6e-16 (zero1+m2) and 3.7e-16 (mat3), against
-    # 1.5e-16 and 2.3e-16 for a dense LDLᴴ solve
-    c = frame_structure(oracle_algebra(name, rotated=True))
-    (block, _), = hilbert._multiplier_blocks(c)
-    cut = hilbert._TOL * max(hilbert._top_eigenvalue(block), 1.0)
-    assert (np.linalg.eigvalsh(block.x) < cut).any() == (name == "zero1+m2")
-    normal = dense_solver_normal(c)
-    shifted = normal - cut * np.eye(len(normal))
-    solve, below = block.shifted_solver(cut)
-    assert below == np.count_nonzero(np.linalg.eigvalsh(normal) < cut) > 0
-    rng = np.random.default_rng(1)
-    v = rng.standard_normal((len(normal), 6)) + 1j * rng.standard_normal((len(normal), 6))
-    x = solve(v)
-    resid = np.linalg.norm(shifted @ x - v, axis=0) / np.linalg.norm(x, axis=0)
-    assert resid.max() <= 1e-15 * np.linalg.norm(shifted, 2)
-
-
-def test_multiplier_normal_signed_schur_complement():
-    # on a solver normal, B vanishes along X's null directions, so G's rows
-    # with ℓ < 0 are noise; here X - cut·I has eigenvalues -3, -0.5, 2 and B
-    # is random, so those rows carry weight in S. Measured residual 3.4e-16,
-    # worst 7.0e-16 over seeds 0-29
-    rng = np.random.default_rng(4)
-    d, cut = 2, 1.0
-    u = haar_unitary(rng, 3)
-    x = (u * np.array([-2.0, 0.5, 3.0])) @ u.conj().T
-    y = haar_unitary(rng, 3)
-    y = (y * rng.uniform(-1.0, 4.0, 3)) @ y.conj().T
-    b = rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6))
-    block = hilbert._MultiplierNormal(x, y, b, d)
-    shifted = block.apply(np.eye(12)) - cut * np.eye(12)
-    solve, below = block.shifted_solver(cut)
-    assert below == np.count_nonzero(np.linalg.eigvalsh(shifted) < 0)
-    v = rng.standard_normal((12, 3)) + 1j * rng.standard_normal((12, 3))
-    sol = solve(v)
-    assert np.linalg.norm(shifted @ sol - v) <= 2e-15 * np.linalg.norm(shifted, 2) * np.linalg.norm(sol)
 
 
 @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e5])
