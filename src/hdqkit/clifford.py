@@ -15,6 +15,8 @@ scatter, one GEMM with the +-1 Walsh-Hadamard matrix and an XOR row gather;
 a product is one 2^m x 2^m GEMM, and the way back is the same gather and
 GEMM divided by 2^m.  On blades every sum has one nonzero term of +-1 or +-i
 and the only division is by a power of two, so blade products are bit-exact.
+A product with at most 4^m nonzero coefficient pairs, such as two blades,
+skips the model and sums the pairs as signed XORs, exact on blades as well.
 The (4^m, 4^m) sign table serves only as the exact oracle behind the dense
 export and the associativity check.
 
@@ -165,10 +167,41 @@ def unit(m: int) -> CliffordElement:
     return blade(m, 0)
 
 
+def _blade_signs(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
+    """sign(I, J) of each pair of blade masks below 2^n, as +-1 int8.
+
+    Bit k of the prefix XOR P(J) of J << 1 is the parity of J's bits below
+    k, so |I & P(J)| has the parity of the swaps counted by `blade_product`.
+    """
+    below = j << 1
+    shift = 1
+    while shift < n:
+        below ^= below << shift
+        shift *= 2
+    return 1 - 2 * (np.bitwise_count(i & below) & 1).astype(np.int8)
+
+
+def _sparse_product(m: int, x: np.ndarray, y: np.ndarray, i: np.ndarray,
+                    j: np.ndarray) -> np.ndarray:
+    """Coefficients of x y summed as signed XORs over the pairs of the nonzeros i of x, j of y."""
+    i, j = np.repeat(i, len(j)), np.tile(j, len(i))
+    out = np.zeros(1 << (2 * m), dtype=complex)
+    np.add.at(out, i ^ j, _blade_signs(i, j, 2 * m) * x[i] * y[j])
+    return out
+
+
 def clifford_product(x: CliffordElement, y: CliffordElement) -> CliffordElement:
-    """Bilinear extension of xi_I xi_J = sign(I, J) xi_{I xor J}, as one matrix GEMM."""
+    """Bilinear extension of xi_I xi_J = sign(I, J) xi_{I xor J}.
+
+    With at most 4^m nonzero pairs (blades, or a blade times anything) the
+    pairs are summed directly (`_sparse_product`), otherwise the product is
+    one matrix GEMM.
+    """
     if x.m != y.m:
         raise SpecMismatch(f"rank mismatch: Cl({2 * x.m}) vs Cl({2 * y.m})")
+    i, j = np.flatnonzero(x.coeffs != 0), np.flatnonzero(y.coeffs != 0)
+    if len(i) * len(j) <= x.coeffs.size:
+        return CliffordElement(x.m, _sparse_product(x.m, x.coeffs, y.coeffs, i, j))
     return CliffordElement(x.m, _from_matrix(x.m, _to_matrix(x) @ _to_matrix(y)))
 
 

@@ -190,8 +190,9 @@ def test_structure_theorems_for_cl2():
 
 
 def test_structure_theorems_for_unrotated_cl6():
-    # d = 64 on the blade basis: the commutant normals split into exact blocks,
-    # and both theorems hold with 64 pairs, bicommutant 64 and commutant 256
+    # d = 64 on the blade basis, where each commutant is restricted to 7 or 8
+    # eigenclusters of one random element (p = 512-576 of D² = 4096): both
+    # theorems hold with 64 pairs, bicommutant 64 and commutant 256
     alg = clifford.as_hilbert_algebra(3)
     pairs = hilbert.solve_multipliers(alg)
     assert len(pairs) == 64
@@ -199,6 +200,29 @@ def test_structure_theorems_for_unrotated_cl6():
     assert caract["pass"] and caract["bicommutant_dim"] == 64
     struct = hilbert.verify_commutant_structure(alg, pairs=pairs)
     assert struct["pass"] and struct["commutant_dim"] == 256
+
+
+def test_structure_theorems_for_rotated_cl6():
+    # d = 64 in a Haar basis, where no normal has exact zeros to split by:
+    # each commutant is restricted to the eigenclusters of one random
+    # Hermitian element (8 of 8, p = 512 of D² = 4096), so no D⁴ normal (268
+    # MB) is built; both verifiers together peak at 56 MB under tracemalloc
+    rng = np.random.default_rng(1)
+    q, r = np.linalg.qr(rng.normal(size=(64, 64)) + 1j * rng.normal(size=(64, 64)))
+    q *= np.diag(r) / np.abs(np.diag(r))
+    alg = hilbert.change_basis(clifford.as_hilbert_algebra(3), q)
+    pairs = hilbert.solve_multipliers(alg)
+    assert len(pairs) == 64
+    tracemalloc.start()
+    try:
+        caract = hilbert.verify_caract(alg, pairs=pairs)
+        struct = hilbert.verify_commutant_structure(alg, pairs=pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert caract["pass"] and caract["bicommutant_dim"] == 64
+    assert struct["pass"] and struct["commutant_dim"] == 256
+    assert peak < 128e6
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
@@ -245,6 +269,35 @@ def test_product_of_blades_is_bit_exact(m):
 def test_product_of_blades_is_bit_exact_at_m6(i, j):
     got = clifford.clifford_product(clifford.blade(6, i), clifford.blade(6, j))
     assert np.array_equal(got.coeffs, blade_oracle(i, j, 6))
+
+
+def matrix_product(x: clifford.CliffordElement, y: clifford.CliffordElement) -> np.ndarray:
+    """x y through the Jordan-Wigner matrix model, whatever the sparsity."""
+    return clifford._from_matrix(x.m, clifford._to_matrix(x) @ clifford._to_matrix(y))
+
+
+@pytest.mark.parametrize("m", [1, 2])
+def test_matrix_model_products_of_blades_are_bit_exact(m):
+    for i in range(4 ** m):
+        for j in range(4 ** m):
+            got = matrix_product(clifford.blade(m, i), clifford.blade(m, j))
+            assert np.array_equal(got, blade_oracle(i, j, m)), (i, j)
+
+
+@pytest.mark.parametrize("m", [1, 3, 6])
+@pytest.mark.parametrize("nnz", [(1, 1), (3, 5), (1, None)], ids=["blades", "sparse", "blade-dense"])
+def test_sparse_products_match_the_matrix_model(m, nnz, rng):
+    d = 4 ** m
+    factors = []
+    for k in nnz:
+        coeffs = np.zeros(d, dtype=complex)
+        idx = rng.choice(d, size=min(k or d, d), replace=False)
+        coeffs[idx] = rng.normal(size=len(idx)) + 1j * rng.normal(size=len(idx))
+        factors.append(clifford.CliffordElement(m, coeffs))
+    x, y = factors
+    got = clifford.clifford_product(x, y).coeffs
+    want = matrix_product(x, y)
+    assert np.linalg.norm(got - want) <= 1e-14 * x.norm * y.norm
 
 
 def test_generator_matrices_satisfy_clifford_relations():

@@ -228,6 +228,27 @@ def test_malformed_arrays_raise_spec_mismatch(call):
         call()
 
 
+@pytest.mark.parametrize("call", [lambda v: hilbert.commutant(v, 2),
+                                  lambda v: hilbert.OperatorSubspace.from_matrices(v, 2)],
+                         ids=["commutant", "from_matrices"])
+def test_matrix_stacks_are_checked_whole(call):
+    # an ndarray of matrices is checked as one (k, D, D) stack, not matrix by
+    # matrix; a non-finite entry anywhere in it, a bool or wrong-shaped stack,
+    # or no iterable at all still raises SpecMismatch
+    stack = np.stack([np.eye(2), np.ones((2, 2))])
+    for entry in (np.nan, np.inf, complex(0.0, -np.inf)):
+        bad = stack.astype(complex)
+        bad[1, 0, 1] = entry
+        with pytest.raises(SpecMismatch):
+            call(bad)
+    for bad in (stack > 0, np.eye(2), np.ones((2, 3, 3)), None, 3):
+        with pytest.raises(SpecMismatch):
+            call(bad)
+    call(stack)
+    call(stack.astype(int))
+    call(np.zeros((0, 2, 2)))
+
+
 def test_array_refuses_bools_ragged_nesting_and_lossy_kinds():
     for value, shape, dtype in [([1, True], (2,), int), ([[0, 1], [np.True_, 0]], (2, 2), int),
                                 ([1.0, False], (2,), float), ([[1, 2], [3]], (2, None), int),
