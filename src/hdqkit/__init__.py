@@ -10,10 +10,9 @@ Subpackages are organized per capability:
 * matrix_basis - Laguerre matrix basis, coefficient transforms, GBV norms
 * symmetry     - commutator identities, Sobolev/Schwartz norms, plane-wave law
 
-The phase-space modules (moyal, matrix_basis, symmetry) need only numpy.
-scipy.linalg is imported inside the functions that call it, so it loads on
-the first factorization (hilbert's frames, orthonormal bases and nullspace
-solves, which clifford's multiplier checks reach) or matrix_star_exp, not
+Every module needs only numpy, hilbert's frames, orthonormal bases and
+nullspace kernel included. scipy.linalg is imported only inside
+matrix_basis.matrix_star_exp, so it loads on that function's first call, not
 when a module is imported.
 """
 

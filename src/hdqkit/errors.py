@@ -101,6 +101,27 @@ def _holds_bool(value: list | tuple) -> bool:
                for v in value)
 
 
+def _finite(out: np.ndarray) -> bool:
+    """True when every entry of a numeric array is finite.
+
+    A float or complex array is checked by one BLAS dot of its float view
+    with itself, a sum of squares that is finite only if every entry is: only
+    a NaN, an inf or entries above about 1e154, where the sum overflows, take
+    the entrywise scan. Integers are always finite, and a scalar takes one
+    np.isfinite.
+    """
+    if out.ndim == 0:
+        return bool(np.isfinite(out))
+    if out.dtype.kind in "iu":
+        return True
+    flat = out.ravel(order="K")
+    if flat.dtype.kind == "c":
+        flat = flat.view(flat.real.dtype)
+    with np.errstate(over="ignore"):
+        square = flat @ flat
+    return bool(np.isfinite(square)) or np.count_nonzero(np.isfinite(out)) == out.size
+
+
 def array(value: Any, shape: tuple[int | None, ...], what: str, dtype: type) -> np.ndarray:
     """`value` as a finite array of `dtype` (int, float or complex) and `shape`.
 
@@ -118,10 +139,7 @@ def array(value: Any, shape: tuple[int | None, ...], what: str, dtype: type) -> 
             and (out.shape == shape or len(out.shape) == len(shape)
                  and all(want in (None, n) for want, n in zip(shape, out.shape)))
             and not (isinstance(value, (list, tuple)) and _holds_bool(value))):
-        # np.isfinite of a 0-d array is a numpy bool, which count_nonzero
-        # takes about 1 us to convert back: a sizeable share of a scalar's check
-        finite = np.isfinite(out)
-        if finite if out.ndim == 0 else np.count_nonzero(finite) == out.size:
+        if _finite(out):
             return out.astype(dtype, copy=False)
     raise SpecMismatch(f"{what} must be a finite {dtype.__name__} array of shape {shape}, "
                        f"got {out.dtype} of shape {out.shape}: {value!r:.40}")

@@ -20,16 +20,14 @@ taken by one kernel, `_null_rows`: the eigenvectors of a closed-form
 Hermitian normal matrix AᴴA (A itself is never built) with eigenvalue at most
 `_TOL` = 1e-10 times max(top one, 1); `_TOL` is also every verifier's pass
 bound. The kernel takes the normal matrix as its exact diagonal blocks, each
-dense, computes only the null eigenvectors and never reduces a block to
-tridiagonal form: it estimates the top eigenvalue by Lanczos and finds the
-nullspace of each block in one round of shifted inverse subspace iteration
-with a Rayleigh–Ritz step. One LDLᴴ factor of the block less the cut gives
-both the solves and, by Sylvester's law of inertia, the number of
-eigenvalues below the cut, which sizes the random block to the nullspace and
-a few spare directions. The multiplier normal is split by its exact nonzero
-pattern (`_multiplier_blocks`) into one block, or several on a group,
-Clifford or matrix algebra's natural basis. `commutant` never builds its
-D² x D² normal: it restricts it to the block-diagonal matrices over the
+dense, and computes only the null eigenvectors: one `eigvalsh` of each block
+gives the top eigenvalue and the number of eigenvalues below the cut, which
+sizes a random block to the nullspace and a few spare directions, and one
+round of shifted inverse subspace iteration (two LU solves) with a
+Rayleigh–Ritz step finds the nullspace. The multiplier normal is split by its
+exact nonzero pattern (`_multiplier_blocks`) into one block, or several on a
+group, Clifford or matrix algebra's natural basis. `commutant` never builds
+its D² x D² normal: it restricts it to the block-diagonal matrices over the
 eigenvalue clusters of one random Hermitian element of the generators' span
 (`_clusters`), p = sum k² unknowns, and assembles that restriction dense
 (`_cluster_normal`); `center` assembles its d x d normal dense.
@@ -39,10 +37,9 @@ the supported range. `errors.gate` raises a ResourceError before a normal
 matrix over `errors.MAX_ENTRIES` entries would be needed, or a tensor
 product or an example's structure tensor over that size is built.
 
-scipy.linalg (the Gram's Cholesky factor, the LAPACK LDLᴴ factor, `orth`,
-the tridiagonal eigensolver) is imported inside the functions that call it,
-so importing this module, or the phase-space modules, which need only numpy,
-does not load it; it loads on the first factorization.
+The module needs only numpy: the Gram's Cholesky factor, orthonormal bases
+and the nullspace kernel all come from `numpy.linalg`, so no hilbert or
+clifford work loads scipy.linalg.
 
 Conventions
 -----------
@@ -56,7 +53,7 @@ Conventions
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Iterable, Literal
+from typing import Any, Iterable, Literal
 
 import numpy as np
 
@@ -130,13 +127,10 @@ class FiniteHilbertAlgebra:
 
     def frame(self) -> np.ndarray:
         """Matrix W with G = W†W; rows give an orthonormal coordinate frame."""
-        import scipy.linalg as sla
-
         try:
-            chol = sla.cholesky(self.gram, lower=False)
-        except sla.LinAlgError as exc:  # pragma: no cover - guarded by validate
+            return np.linalg.cholesky(self.gram, upper=True)
+        except np.linalg.LinAlgError as exc:  # pragma: no cover - guarded by validate
             raise InvalidGram(f"gram not positive definite: {exc}") from None
-        return chol
 
     def unit(self) -> np.ndarray | None:
         """Two-sided unit coordinates, or None when the algebra has none."""
@@ -207,12 +201,13 @@ class OperatorSubspace:
 
     @staticmethod
     def from_matrices(mats: Iterable[np.ndarray], ambient_dim: int) -> "OperatorSubspace":
-        import scipy.linalg as sla
-
+        """Orthonormal basis of the span: left singular vectors of the stacked
+        matrices with singular value above 1e-12 times the largest."""
         stack = _matrix_stack(mats, ambient_dim).reshape(-1, ambient_dim ** 2)
         if stack.size == 0:
             return OperatorSubspace(ambient_dim, np.zeros((0, ambient_dim, ambient_dim)))
-        q = sla.orth(stack.T, rcond=1e-12)
+        u, svals, _ = np.linalg.svd(stack.T, full_matrices=False)
+        q = u[:, svals > 1e-12 * svals[0]]
         basis = q.T.reshape(-1, ambient_dim, ambient_dim)
         return OperatorSubspace(ambient_dim, basis)
 
@@ -347,134 +342,56 @@ def _components(normal: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def _ldl(shifted: np.ndarray) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-    """Solve with a Hermitian matrix, and count its negative eigenvalues, from one factor.
-
-    `shifted` is Fortran-ordered, only its lower triangle is read, and it is
-    overwritten by the Bunch–Kaufman factor L D Lᴴ (LAPACK ?hetrf; Bunch &
-    Kaufman, Math. Comp. 31, 1977), with the workspace from its query, since
-    the wrapper's default runs the unblocked path. By Sylvester's law of
-    inertia the matrix has as many negative eigenvalues as D, whose diagonal
-    blocks are 1 × 1, counted by sign, or 2 × 2 (a pair of negative pivot
-    entries) [[a, b], [b̄, c]], counted by the determinant, and by a when the
-    determinant is positive.
-    """
-    from scipy.linalg import lapack
-
-    lwork = int(lapack.zhetrf_lwork(len(shifted), lower=1)[0].real)
-    ldu, ipiv, _ = lapack.zhetrf(shifted, lower=1, lwork=lwork, overwrite_a=1)
-    diag = ldu.diagonal().real
-    first = np.flatnonzero(ipiv < 0)[::2]  # leading index of each 2 × 2 block
-    a, det = diag[first], diag[first] * diag[first + 1] - np.abs(ldu[first + 1, first]) ** 2
-    negatives = (np.count_nonzero(diag[ipiv > 0] < 0) + np.count_nonzero(det < 0)
-                 + 2 * np.count_nonzero((det > 0) & (a < 0)))
-    return (lambda v: lapack.zhetrs(ldu, ipiv, v, lower=1)[0]), int(negatives)
-
-
-class _DenseBlock:
-    """A dense Hermitian PSD block: applied by one GEMM, solved by LDLᴴ."""
-
-    def __init__(self, mat: np.ndarray) -> None:
-        self.mat = mat
-        self.size = mat.shape[0]
-
-    def apply(self, v: np.ndarray) -> np.ndarray:
-        return self.mat @ v
-
-    def shifted_solver(self, cut: float) -> tuple[Callable[[np.ndarray], np.ndarray], int]:
-        """Solve with mat - cut·I, factored once, and its count of eigenvalues below the cut."""
-        # the block is Hermitian, so conj(mat)ᵀ is a Fortran-ordered copy LAPACK factors in place
-        shifted = np.conj(self.mat).T
-        shifted.flat[::self.size + 1] -= cut
-        return _ldl(shifted)
-
-
-def _top_eigenvalue(block: _DenseBlock) -> float:
-    """Largest eigenvalue of a Hermitian PSD block by Lanczos.
-
-    The start vector comes from a fixed seed, so the estimate is
-    deterministic. Each new Krylov vector is orthogonalised twice against all
-    earlier ones, so the basis stays orthonormal when the Krylov space runs
-    out after a few distinct eigenvalues. The run stops once the residual
-    ‖N y − θ y‖ = β |s_k| of the top Ritz pair (θ, y) is at most 1e-12 θ,
-    which puts an eigenvalue within 1e-12 θ of θ (λ_max, unless the start
-    vector is orthogonal to its eigenspace), or at step n, where it is exact.
-    A 1 × 1 block is its own eigenvalue.
-    """
-    import scipy.linalg as sla
-
-    n = block.size
-    if n == 1:
-        return float(block.apply(np.ones((1, 1)))[0, 0].real)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal(n) + 1j * rng.standard_normal(n)
-    v /= np.linalg.norm(v)
-    basis, alpha, beta = [], [], []
-    for k in range(n):
-        basis.append(v)
-        w = block.apply(v[:, None])[:, 0]
-        alpha.append(np.vdot(v, w).real)
-        q = np.array(basis)
-        for _ in range(2):
-            w -= (q.conj() @ w) @ q
-        b = float(np.linalg.norm(w))
-        theta, s = sla.eigh_tridiagonal(np.array(alpha), np.array(beta),
-                                        select="i", select_range=(k, k))
-        if b * abs(s[-1, 0]) <= 1e-12 * abs(theta[0]) or k == n - 1:
-            return float(theta[0])
-        beta.append(b)
-        v = w / b
-    return 0.0  # n = 0
-
-
-def _block_null_vectors(block: _DenseBlock, cut: float) -> np.ndarray:
+def _block_null_vectors(block: np.ndarray, cut: float, below: int) -> np.ndarray:
     """Orthonormal columns spanning the eigenvectors of a block with eigenvalue <= cut.
 
     One round of block inverse subspace iteration with a Rayleigh–Ritz step
-    (Rutishauser, 1970), sized by inertia: one LDLᴴ factor of block - cut·I
-    (`shifted_solver`) also counts its k negative eigenvalues, the block's
-    eigenvalues below the cut. A seeded complex Gaussian block of width
-    min(n, k + `_OVERSAMPLE`) takes two solves with that factor and then one
-    QR, and the Ritz vectors of the small projected matrix with Ritz value
-    at most the cut are kept; at width n the Ritz step is a full eigensolve.
-    Without a QR between them the two solves amplify a component at
-    eigenvalue μ by (μ - cut)⁻², about cut⁻² ≤ 1e20 on the null ones, far
-    from overflow unless μ lies on the cut. A 1 × 1 block is answered from
-    its one entry.
+    (Rutishauser, 1970), sized by `below`, the block's count of eigenvalues
+    at most the cut. A seeded complex Gaussian block of width
+    min(n, below + `_OVERSAMPLE`) takes two LU solves with block - cut·I and
+    then one QR, and the Ritz vectors of the small projected matrix with Ritz
+    value at most the cut are kept; at width n the Ritz step is a full
+    eigensolve. Without a QR between them the two solves amplify a component
+    at eigenvalue μ by (μ - cut)⁻², about cut⁻² ≤ 1e20 on the null ones, far
+    from overflow unless μ lies on the cut. A block with none or all of its
+    eigenvalues at most the cut, a 1 × 1 block among them, needs no solve.
     """
-    n = block.size
-    if n == 1:
-        entry = block.apply(np.ones((1, 1)))[0, 0].real
-        return np.ones((1, 1 if entry <= cut else 0), dtype=complex)
-    solve, below = block.shifted_solver(cut)
+    n = len(block)
+    if below in (0, n):
+        return np.eye(n, below, dtype=complex)
+    shifted = block.copy()
+    shifted.flat[::n + 1] -= cut
     width = min(n, below + _OVERSAMPLE)
     rng = np.random.default_rng(0)
     v = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-    v = np.linalg.qr(solve(solve(v)))[0]
-    ritz, vecs = np.linalg.eigh(v.conj().T @ block.apply(v))
+    v = np.linalg.qr(np.linalg.solve(shifted, np.linalg.solve(shifted, v)))[0]
+    # N v before vᴴ: vᴴ N first put the Cl(6) rebuild residual of
+    # clifford.verify_unital_multipliers at 4.1e-15, against 6.7e-16
+    ritz, vecs = np.linalg.eigh(v.conj().T @ (block @ v))
     return v @ vecs[:, ritz <= cut]
 
 
-def _null_rows(blocks: list[tuple[_DenseBlock, np.ndarray]], n: int) -> np.ndarray:
+def _null_rows(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
     """Orthonormal rows spanning the numerical nullspace of an n x n PSD matrix.
 
-    The matrix is given by its exact diagonal blocks, each with the indices
-    it occupies, and every row is zero outside its block. Keeps the
+    The matrix is given by its exact diagonal blocks, each dense with the
+    indices it occupies, and every row is zero outside its block. Keeps the
     eigenvectors with eigenvalue at most the cut `_TOL` max(λ_max, 1):
     eigenvalues are squared residuals, but the noise floor on true zeros
-    scales linearly with the top eigenvalue, so the cut does too. λ_max is the
-    largest Lanczos estimate over the blocks (`_top_eigenvalue`), and each
-    block goes to `_block_null_vectors`. By Cauchy interlacing every Ritz
-    vector it keeps lies below the cut. Each solve shrinks a component at
-    eigenvalue μ above the cut by cut/(μ - cut) relative to the null ones,
-    under 1e-9 across the spectral gaps of the solver and commutant normals,
-    and the random block is `_OVERSAMPLE` wider than the block's count of
-    eigenvalues below the cut, taken from the inertia of its factor, so no
-    null direction is missed. Rows are written into one array in block
-    order.
+    scales linearly with the top eigenvalue, so the cut does too. One
+    `eigvalsh` per block gives both λ_max, the largest over the blocks, and
+    the block's count of eigenvalues at most the cut, and each block goes to
+    `_block_null_vectors`. By Cauchy interlacing every Ritz vector it keeps
+    lies below the cut. Each solve shrinks a component at eigenvalue μ above
+    the cut by cut/(μ - cut) relative to the null ones, under 1e-9 across the
+    spectral gaps of the solver and commutant normals, and the random block
+    is `_OVERSAMPLE` wider than that count, so no null direction is missed.
+    Rows are written into one array in block order.
     """
-    cut = _TOL * max(max((_top_eigenvalue(blk) for blk, _ in blocks), default=0.0), 1.0)
-    vecs = [_block_null_vectors(blk, cut) for blk, _ in blocks]
+    spectra = [np.linalg.eigvalsh(blk) for blk, _ in blocks]
+    cut = _TOL * max(max((eigs[-1] for eigs in spectra), default=0.0), 1.0)
+    vecs = [_block_null_vectors(blk, cut, int(np.count_nonzero(eigs <= cut)))
+            for (blk, _), eigs in zip(blocks, spectra)]
     rows = np.zeros((sum(v.shape[1] for v in vecs), n), dtype=complex)
     start = 0
     for (_, idx), v in zip(blocks, vecs):
@@ -487,15 +404,14 @@ def _null_vectors(normal: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the numerical nullspace of a dense PSD matrix.
 
     The matrix is split into the exact diagonal blocks of its nonzero pattern
-    (`_components`), and the nullspace is taken as in `_null_rows`. Only the
-    nullspace is computed, and no block is reduced to tridiagonal form.
+    (`_components`), and the nullspace is taken as in `_null_rows`: each
+    block's eigenvalues, but of its eigenvectors only the null ones.
     """
     comps = _components(normal)
     # a one-component normal is not copied
     if len(comps) == 1:
-        return _null_rows([(_DenseBlock(normal), comps[0])], normal.shape[0])
-    return _null_rows([(_DenseBlock(normal[np.ix_(idx, idx)]), idx) for idx in comps],
-                      normal.shape[0])
+        return _null_rows([(normal, comps[0])], normal.shape[0])
+    return _null_rows([(normal[np.ix_(idx, idx)], idx) for idx in comps], normal.shape[0])
 
 
 def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
@@ -517,13 +433,13 @@ def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
     return defects
 
 
-def _multiplier_blocks(c: np.ndarray) -> list[tuple[_DenseBlock, np.ndarray]]:
+def _multiplier_blocks(c: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
     """Exact diagonal blocks of the solver's normal matrix for frame constants c.
 
     Unknown L[a, j] has index a d + j and R[b, i] index d² + b d + i. The
     blocks are the components (`_components`) of the normal's exact nonzero
     pattern [[kron(X ≠ 0, I), B ≠ 0], [(B ≠ 0)ᵀ, kron(Y ≠ 0, I)]], each one
-    `_DenseBlock` taken from X, Y and B: a single component in any
+    dense array taken from X, Y and B: a single component in any
     Haar-rotated algebra, several on a natural basis. A free unknown, such
     as L[a, ·] when X[a, a] = 0, is an isolated 1 × 1 block. Twisted group
     algebras split into d blocks of 2d (Cl(6): 64 of 128).
@@ -543,9 +459,8 @@ def _multiplier_blocks(c: np.ndarray) -> list[tuple[_DenseBlock, np.ndarray]]:
         top, bot = idx[idx < dd], idx[idx >= dd] - dd
         (la, j), (ra, i) = np.divmod(top, d), np.divmod(bot, d)
         lr = b[np.ix_(top, bot)]
-        blocks.append((_DenseBlock(np.block([[x[np.ix_(la, la)] * (j[:, None] == j), lr],
-                                             [lr.conj().T, y[np.ix_(ra, ra)] * (i[:, None] == i)]])),
-                       idx))
+        blocks.append((np.block([[x[np.ix_(la, la)] * (j[:, None] == j), lr],
+                                 [lr.conj().T, y[np.ix_(ra, ra)] * (i[:, None] == i)]]), idx))
     return blocks
 
 

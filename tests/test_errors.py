@@ -260,6 +260,22 @@ def test_array_refuses_bools_ragged_nesting_and_lossy_kinds():
     assert errors.array(np.uint8(3), (), "value", complex) == 3
 
 
+def test_array_finiteness_is_exact_on_strided_and_huge_entries():
+    # finiteness is read off one sum of squares, and only a non-finite sum
+    # falls back to the entrywise scan
+    base = np.ones((6, 4), complex)
+    for entry in (np.nan, np.inf, complex(0.0, -np.inf)):
+        bad = base.copy()
+        bad[4, 2] = entry
+        for view in (bad[:, ::2], bad.T[::2], bad[::-1, 2]):
+            with pytest.raises(SpecMismatch):
+                errors.array(view, view.shape, "value", complex)
+    huge = np.full((3, 5), 1e200)
+    assert errors.array(huge, (3, 5), "value", float) is huge
+    assert errors.array(huge[:, ::2] * (1 - 1j), (3, 3), "value", complex).shape == (3, 3)
+    assert errors.array(np.zeros((0, 4)), (0, 4), "value", float).size == 0
+
+
 def test_complex_inputs_are_kept_without_a_copy():
     strided = np.zeros((4, 2), complex)[:, 0]
     assert np.shares_memory(clifford.CliffordElement(1, strided).coeffs, strided)

@@ -26,9 +26,9 @@ def _loaded(imports: str, prefix: str, run: str = "") -> str:
 
 
 def test_import_loads_no_scipy_sparse():
-    # the package uses only dense scipy.linalg; on top of it, scipy.sparse
-    # adds about 1.7 MB of peak RSS to every importer, and with its linalg
-    # and csgraph about 4.8 MB (Python 3.11, scipy 1.17)
+    # the package uses only dense scipy.linalg, in matrix_star_exp; on top
+    # of it, scipy.sparse adds about 1.7 MB of peak RSS to every importer, and
+    # with its linalg and csgraph about 4.8 MB (Python 3.11, scipy 1.17)
     assert _loaded(_ALL_MODULES, "scipy.sparse") == "[]"
 
 
@@ -39,8 +39,8 @@ def test_algebra_modules_load_no_phase_space_module():
 
 
 def test_phase_space_work_loads_no_scipy_linalg():
-    # only factorizations and matrix_star_exp import scipy.linalg, which costs
-    # about 0.35 s and 28 MB of peak RSS (Python 3.11, scipy 1.17)
+    # only matrix_star_exp imports scipy.linalg, which costs about 0.35 s and
+    # 28 MB of peak RSS (Python 3.11, scipy 1.17)
     run = """
 import numpy as np
 from hdqkit.matrix_basis import MatrixSymbol, synthesize_basis, transform
@@ -52,5 +52,25 @@ assert np.abs(transform(transform(sym, cache), cache).coeffs - sym.coeffs).max()
 small = GridSpec(M=8)
 f = GridFunction(small, np.ones(small.shape))
 assert np.isfinite(moyal_fast(f, f).samples).all()
+"""
+    assert _loaded(_ALL_MODULES, "scipy.linalg", run) == "[]"
+
+
+def test_algebra_work_loads_no_scipy_linalg():
+    # hilbert's frames, orthonormal bases and nullspace kernel run on
+    # numpy.linalg alone, and so does every clifford check that reaches them
+    run = """
+import numpy as np
+from hdqkit import clifford, hilbert
+m2 = hilbert.example_algebra("full_matrix", n=2)
+zero = hilbert.FiniteHilbertAlgebra(np.zeros((1, 1, 1)), np.eye(1), np.eye(1))
+alg = hilbert.combine(m2, hilbert.example_algebra("cyclic_group", n=3), "direct_sum")
+assert hilbert.validate_axioms(alg)["pass"]
+pairs = hilbert.solve_multipliers(alg)
+assert hilbert.verify_caract(alg, pairs)["pass"]
+assert hilbert.verify_commutant_structure(alg, pairs)["pass"]
+assert len(hilbert.center(alg)) == 4
+assert len(hilbert.solve_multipliers(hilbert.combine(zero, m2, "direct_sum"))) == 14
+assert clifford.verify_unital_multipliers(2)["pass"]
 """
     assert _loaded(_ALL_MODULES, "scipy.linalg", run) == "[]"
