@@ -819,6 +819,61 @@ def test_null_vectors_edge_cases():
     assert hilbert._null_vectors(np.eye(7)).shape == (0, 7)
 
 
+@st.composite
+def planted_psd_blocks(draw):
+    """A Haar-rotated PSD block of size n <= 40 with a planted nullity and its
+    other eigenvalues in [1/4, 4], two of them optionally moved to 0.5 cut and
+    2 cut for the cut `_TOL` max(λ_max, 1) of `_null_rows`."""
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    n = draw(st.integers(2, 40))
+    null = draw(st.integers(0, n))
+    eigs = np.concatenate([np.zeros(null), rng.uniform(0.25, 4.0, n - null)])
+    if n - null >= 2 and draw(st.booleans()):
+        cut = hilbert._TOL * max(eigs[null + 2:].max(initial=0.0), 1.0)
+        eigs[null:null + 2] = [0.5 * cut, 2.0 * cut]
+    u = haar_unitary(rng, n)
+    return (u * eigs) @ u.conj().T
+
+
+@given(planted_psd_blocks())
+@settings(derandomize=True, max_examples=60, deadline=None)
+def test_dense_block_counts_eigenvalues_below_the_cut(normal):
+    # `_null_rows` counts a dense block's eigenvalues at most the cut from its
+    # eigvalsh and returns that many orthonormal rows, each of them in the
+    # span of the eigenvalues at most 0.5 cut; measured worst over the 60
+    # draws: orthonormality 3.6e-15, residual 0.5 cut + 5e-17
+    n = len(normal)
+    eigs = np.linalg.eigvalsh(normal)
+    cut = hilbert._TOL * max(eigs[-1], 1.0)
+    rows = hilbert._null_rows([(normal, np.arange(n))], n)
+    assert len(rows) == np.count_nonzero(eigs < cut)
+    assert np.abs(rows @ rows.conj().T - np.eye(len(rows))).max(initial=0.0) <= 1e-14
+    assert np.linalg.norm(normal @ rows.T, axis=0).max(initial=0.0) <= 0.5 * cut + 1e-14
+
+
+@pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e5])
+@pytest.mark.parametrize("name", ["s3", "mat2", "c3"])
+def test_top_eigenvalue_on_solver_normals(name, cond, monkeypatch):
+    # the cut that `_null_rows` hands the kernel is `_TOL` times the top of
+    # the blocks' eigvalsh, here the dense normal's λ_max (4 to 12, so above
+    # the floor of 1); measured worst relative error 1.5e-16 (s3 at 1e2)
+    base = named_algebra(name)
+    d = base.dim
+    o, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(d, d)))
+    c = frame_structure(hilbert.change_basis(
+        base, o @ np.diag(np.logspace(0.0, np.log10(cond), d)) @ o.T))
+    blocks = hilbert._multiplier_blocks(c)
+    (_, _), = blocks
+    cuts = []
+    kernel = hilbert._block_null_vectors
+    monkeypatch.setattr(hilbert, "_block_null_vectors",
+                        lambda blk, cut, below: cuts.append(cut) or kernel(blk, cut, below))
+    hilbert._null_rows(blocks, 2 * d * d)
+    want = np.linalg.eigvalsh(dense_solver_normal(c))[-1]
+    assert want > 1.0 and len(cuts) == 1
+    assert abs(cuts[0] - hilbert._TOL * want) <= 1e-10 * hilbert._TOL * want
+
+
 def test_operator_subspace_matches_loop_oracles(rng):
     def project(sub, x):
         return sum((np.vdot(b, x) * b for b in sub.basis), np.zeros_like(x, dtype=complex))
