@@ -17,8 +17,10 @@ GEMM divided by 2^m.  On blades every sum has one nonzero term of +-1 or +-i
 and the only division is by a power of two, so blade products are bit-exact.
 A product with at most 4^m nonzero coefficient pairs, such as two blades,
 skips the model and sums the pairs as signed XORs, exact on blades as well.
-The (4^m, 4^m) sign table serves only as the exact oracle behind the dense
-export and the associativity check.
+`_blade_signs` is the one sign rule: the sparse product, the dense export,
+the involution xi_I* = xi_I^-1 = sign(I, I) xi_I and the associativity check
+all take their signs from it.  `blade_product`, which counts the swaps one
+generator at a time, is its independent oracle.
 
 `verify_unital_multipliers` checks the unital collapse of the multiplier
 space for 1 <= m <= 3 on the dense export, with the nullspace kernel
@@ -43,31 +45,6 @@ _VERIFY_MAX_M = 3
 _RANK = "number m of generator pairs"
 
 _PHASES = np.array([1, 1j, -1, -1j])  # i^e
-
-
-@lru_cache(maxsize=8)
-def _sign_table(m: int) -> np.ndarray:
-    """(d, d) int8 table of blade product signs, d = 4^m.
-
-    sign(I, J) = (-1)^(sum over k in I of |{j in J : j < k}|), accumulated
-    as a uint8 parity so that no (d, d) temporary is wider than a byte.
-    """
-    n = 2 * m
-    gate(1 << (2 * n), f"sign table of Cl({n})")
-    idx = np.arange(1 << n, dtype=np.uint32)
-    parity = np.zeros((idx.size, idx.size), dtype=np.uint8)
-    for k in range(n):
-        in_i = ((idx >> k) & 1).astype(np.uint8)
-        below = (np.bitwise_count(idx & ((1 << k) - 1)) & 1).astype(np.uint8)
-        parity ^= np.outer(in_i, below)
-    return 1 - 2 * parity.view(np.int8)
-
-
-@lru_cache(maxsize=8)
-def _star_signs(m: int) -> np.ndarray:
-    """Involution signs (-1)^{|I|(|I|-1)/2} per blade."""
-    sizes = np.bitwise_count(np.arange(1 << (2 * m), dtype=np.uint32)).astype(np.int64)
-    return np.where((sizes * (sizes - 1) // 2) & 1, -1, 1).astype(np.int8)
 
 
 @lru_cache(maxsize=8)
@@ -168,7 +145,7 @@ def unit(m: int) -> CliffordElement:
 
 
 def _blade_signs(i: np.ndarray, j: np.ndarray, n: int) -> np.ndarray:
-    """sign(I, J) of each pair of blade masks below 2^n, as +-1 int8.
+    """sign(I, J) of blade masks i, j below 2^n, broadcast together, as +-1 int8.
 
     Bit k of the prefix XOR P(J) of J << 1 is the parity of J's bits below
     k, so |I & P(J)| has the parity of the swaps counted by `blade_product`.
@@ -207,7 +184,8 @@ def clifford_product(x: CliffordElement, y: CliffordElement) -> CliffordElement:
 
 def involution_and_trace(x: CliffordElement) -> tuple[CliffordElement, complex]:
     """Blade-reversal star with conjugated coefficients, and tau(x) = x_empty."""
-    star = CliffordElement(x.m, _star_signs(x.m) * np.conj(x.coeffs))
+    blades = np.arange(x.coeffs.size)
+    star = CliffordElement(x.m, _blade_signs(blades, blades, 2 * x.m) * np.conj(x.coeffs))
     return star, complex(x.coeffs[0])
 
 
@@ -222,12 +200,11 @@ def as_hilbert_algebra(m: int) -> FiniteHilbertAlgebra:
     """Dense export of Cl(2m) into the finite Hilbert-algebra format."""
     d = 1 << (2 * whole(m, _RANK, 1))
     gate(d ** 3, f"dense structure constants of Cl({2 * m})")
-    sgn = _sign_table(m)
     structure = np.zeros((d, d, d), dtype=complex)
-    ii = np.repeat(np.arange(d), d)
-    jj = np.tile(np.arange(d), d)
-    structure[ii, jj, ii ^ jj] = sgn[ii, jj]
-    involution = np.diag(_star_signs(m).astype(complex))
+    blades = np.arange(d)
+    ii, jj = np.repeat(blades, d), np.tile(blades, d)
+    structure[ii, jj, ii ^ jj] = _blade_signs(ii, jj, 2 * m)
+    involution = np.diag(_blade_signs(blades, blades, 2 * m).astype(complex))
     gram = np.eye(d, dtype=complex)
     return FiniteHilbertAlgebra(structure=structure, involution=involution,
                                 gram=gram, name=f"Cl({2 * m})")
@@ -235,17 +212,10 @@ def as_hilbert_algebra(m: int) -> FiniteHilbertAlgebra:
 
 def _exact_associativity(m: int) -> bool:
     """sign(I,J) sign(I^J,K) == sign(J,K) sign(I,J^K) over all blade triples."""
-    d = 1 << (2 * m)
-    sgn = _sign_table(m).astype(np.int16)
-    jj = np.arange(d, dtype=np.int64)[:, None]
-    kk = np.arange(d, dtype=np.int64)[None, :]
-    jxorks = jj ^ kk
-    for i in range(d):
-        lhs = sgn[i][:, None] * sgn[i ^ jj.ravel(), :]
-        rhs = sgn * sgn[i][jxorks]
-        if not np.array_equal(lhs, rhs):
-            return False
-    return True
+    n = 2 * m
+    i, j, k = np.ix_(*[np.arange(1 << n)] * 3)
+    return np.array_equal(_blade_signs(i, j, n) * _blade_signs(i ^ j, k, n),
+                          _blade_signs(j, k, n) * _blade_signs(i, j ^ k, n))
 
 
 def _exact_anticommutation(m: int) -> bool:

@@ -58,10 +58,16 @@ def test_blade_association_is_exact(i, j, k):
     assert (s1 * s2, t2) == (s3 * s4, t4)
 
 
+def star_signs(m: int) -> np.ndarray:
+    """sigma(I, I) per blade: xi_I* = xi_I^-1 = sign(I, I) xi_I."""
+    blades = np.arange(4 ** m)
+    return clifford._blade_signs(blades, blades, 2 * m)
+
+
 @given(masks_m3, masks_m3)
 def test_blade_involution_reverses_products(i, j):
     # (xi_I xi_J)* = xi_J* xi_I* with the blade-reversal signs
-    star = clifford._star_signs(3)
+    star = star_signs(3)
     s, t = clifford.blade_product(i, j, 3)
     sr, tr = clifford.blade_product(j, i, 3)
     assert t == tr
@@ -70,24 +76,51 @@ def test_blade_involution_reverses_products(i, j):
 
 @pytest.mark.parametrize("m", [1, 2, 3])
 def test_sign_table_matches_blade_product(m):
-    table = clifford._sign_table(m)
     d = 1 << (2 * m)
+    ii, jj = np.repeat(np.arange(d), d), np.tile(np.arange(d), d)
+    table = clifford._blade_signs(ii, jj, 2 * m).reshape(d, d)
     want = [[clifford.blade_product(i, j, m)[0] for j in range(d)] for i in range(d)]
     assert table.dtype == np.int8
     assert np.array_equal(table, want)
 
 
-@pytest.fixture(scope="module")
-def sign_table_m6():
-    # built once, outside the hypothesis deadline: a cold 4096² build takes
-    # about 70 ms of the 200 ms that one example may take
-    return clifford._sign_table(6)
+masks_m6 = st.integers(0, 4095)
 
 
-@given(st.integers(0, 4095), st.integers(0, 4095))
+@given(masks_m6, masks_m6)
 @settings(max_examples=200)
-def test_sign_table_matches_blade_product_at_m6(sign_table_m6, i, j):
-    assert sign_table_m6[i, j] == clifford.blade_product(i, j, 6)[0]
+def test_sign_table_matches_blade_product_at_m6(i, j):
+    assert clifford._blade_signs(np.array(i), np.array(j), 12) == clifford.blade_product(i, j, 6)[0]
+
+
+@given(masks_m6, masks_m6, masks_m6)
+@settings(max_examples=200)
+def test_blade_signs_are_bilinear_at_m6(i, i2, j):
+    # sign(I ^ I', J) = sign(I, J) sign(I', J), and the same in J: a bilinear
+    # sign is a 2-cocycle, which is why every export is associative
+    def sign(a, b):
+        return int(clifford._blade_signs(np.array(a), np.array(b), 12))
+    assert sign(i ^ i2, j) == sign(i, j) * sign(i2, j)
+    assert sign(j, i ^ i2) == sign(j, i) * sign(j, i2)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_hilbert_export_matches_blade_oracle(m):
+    # structure from blade_product, involution from the reversal sign
+    # (-1)^{|I|(|I|-1)/2}, orthonormal Gram: equal bit for bit
+    d = 4 ** m
+    structure = np.zeros((d, d, d), dtype=complex)
+    for i in range(d):
+        for j in range(d):
+            sign, target = clifford.blade_product(i, j, m)
+            structure[i, j, target] = sign
+    sizes = [bin(i).count("1") for i in range(d)]
+    involution = np.diag([(-1.0) ** (k * (k - 1) // 2) for k in sizes]).astype(complex)
+    alg = clifford.as_hilbert_algebra(m)
+    for got, want in [(alg.structure, structure), (alg.involution, involution),
+                      (alg.gram, np.eye(d, dtype=complex))]:
+        assert got.dtype == want.dtype
+        assert np.array_equal(got, want)
 
 
 def test_generator_relations():
@@ -348,10 +381,9 @@ def test_dense_product_is_associative_at_m6(seed):
     assert np.linalg.norm(left - right) <= 1e-13 * np.linalg.norm(left)
 
 
-@pytest.mark.parametrize("build", [lambda: clifford._sign_table(7),
-                                   lambda: clifford.blade(14, 0),
+@pytest.mark.parametrize("build", [lambda: clifford.blade(14, 0),
                                    lambda: clifford._matrix_model(13)],
-                         ids=["sign_table", "blade", "matrix_model"])
+                         ids=["blade", "matrix_model"])
 def test_allocations_are_gated(build):
     tracemalloc.start()
     try:
@@ -374,5 +406,4 @@ def test_dense_product_does_not_build_the_sign_table(rng):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert clifford._sign_table.cache_info().currsize == 0
     assert peak < 1 << 20
