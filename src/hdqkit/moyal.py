@@ -31,7 +31,10 @@ from .errors import QuadratureError, ResourceError, SpecMismatch, array, choice,
 
 Side = Literal["left", "right"]
 
-_PAIR_CHUNK = 64  # products per block of f rows in _fast_pairs_2d (len(gs) if larger)
+# entries (512 KiB of complex128, so that a block stays in a core's L2 cache) of
+# each working block: one side's factors in a chunk of _fast_pairs_2d, an
+# output row block of _fast_4d
+_CHUNK = 1 << 15
 _CUTOFF = 1e-12  # split_pairs keeps singular values above this fraction of the largest
 # split_pairs ends in a dense SVD once its cross approximation reaches rank
 # M^2 / 16; at M = 32 a full-rank input spends a few percent of that SVD's
@@ -220,55 +223,63 @@ def _dressing_phase(spec: GridSpec) -> np.ndarray:
     return np.exp(0.5j * spec.theta * np.outer(xq, xp))
 
 
-def _f_step(fhats: np.ndarray, j: int, ph: np.ndarray, alt: np.ndarray) -> np.ndarray:
-    """A[a, q, k] = f_a(q + (theta/2) xi_p(k), j-mode of p): momentum step j of f."""
-    return len(alt) * np.fft.ifft(fhats[:, :, j][:, :, None] * ph[None] * alt[None, :, None],
-                                  axis=1)
+def _circulant(x: np.ndarray) -> np.ndarray:
+    """View c[i, l, ..., j] = x[i, (l - j) mod M, ...] of x, M long on axis 1.
+
+    The window axis j comes last; no entry is copied beyond x doubled.
+    """
+    m = x.shape[1]
+    windows = np.lib.stride_tricks.sliding_window_view(np.concatenate((x, x), axis=1), m, axis=1)
+    return windows[:, 1:][..., ::-1]  # x[l - j] = doubled x[(l + 1) + (M - 1 - j)]
 
 
 def _fast_pairs_2d(fhats: np.ndarray, ghats: np.ndarray, spec: GridSpec) -> np.ndarray:
-    """Star products f_a * g_b for every (a, b), f-major, n=1 mixed representation.
+    """Star products f_a * g_b for every (a, b) as out[q, p, a, b], n=1 mixed representation.
 
-    For each momentum mode j of f the product contributes
+    Momentum step j of f contributes
         f(q + (theta/2) xi_p(k), j-mode) * g(q - (theta/2) xi_p(j), k-mode)
-    into the output momentum mode j+k; the q-shifts are exact torus shifts
-    applied as phases on the q-modes. Each step's g-side transform is taken
-    once and applied to blocks of f rows, each block holding at most
-    max(_PAIR_CHUNK, len(ghats)) products.
+    to the output momentum mode l = j + k; the q-shifts are exact torus
+    shifts applied as phases on the q-modes.  Both factors are built for a
+    chunk of output modes l and all steps j at once, indexed by l through
+    circulant views (k = l - j), as F[kq, l, a, j] and G[kq, l, j, b]: each
+    side takes one q-transform, and one batched matmul contracts over j and
+    writes the chunk's output modes.  A chunk holds at most _CHUNK entries
+    per side (one output mode if a mode alone is larger); one last transform
+    takes the output back to physical p.
     """
     m = spec.M
     alt = spec.alternating()
-    ph = _dressing_phase(spec)
-    count = len(ghats)
-    rows = max(1, _PAIR_CHUNK // count)
-    out = np.zeros((len(fhats) * count, m, m), dtype=complex)
-    for j in range(m):
-        # B[b, q, k] = g_b(q - (theta/2) xi_p(j), k-mode of p)
-        dress = np.conj(ph[:, j])[None, :, None]
-        b = m * np.fft.ifft(ghats * dress * alt[None, :, None], axis=1)
-        for lo in range(0, len(fhats), rows):
-            a = _f_step(fhats[lo:lo + rows], j, ph, alt)
-            prod = (a[:, None] * b[None]).reshape(-1, m, m)
-            out[lo * count:lo * count + len(prod)] += np.roll(prod, j, axis=2)
-    # back to physical p, block by block
-    for lo in range(0, len(out), rows * count):
-        block = out[lo:lo + rows * count]
-        block[...] = m * np.fft.ifft(block * alt[None, None, :], axis=2)
-    return out
+    ph = _dressing_phase(spec) * alt[:, None]  # [kq, k]
+    dressed = _circulant(ph)  # [kq, l, j]
+    shifted = _circulant(ghats.transpose(1, 2, 0)).swapaxes(2, 3)  # [kq, l, j, b] = g_b(kq, l - j)
+    undress = np.conj(ph)[:, None, :, None]  # [kq, 1, j, 1]
+    fj = fhats.transpose(1, 0, 2)[:, None]  # [kq, 1, a, j]
+    step = max(1, _CHUNK // (m * m * max(len(fhats), len(ghats))))
+    out = np.empty((m, m, len(fhats), len(ghats)), dtype=complex)  # [q, l, a, b]
+    for lo in range(0, m, step):
+        a = fj * dressed[:, lo:lo + step, None]
+        b = shifted[:, lo:lo + step] * undress
+        np.matmul(np.fft.ifft(a, axis=0, out=a), np.fft.ifft(b, axis=0, out=b),
+                  out=out[:, lo:lo + step])
+    # a factor M from each q-transform and from the p-transform, and the
+    # p-modes' (-1)^l of the grid starting at -L
+    out *= m ** 3 * alt[:, None, None]
+    return np.fft.ifft(out, axis=1, out=out)
 
 
 def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
     """Full-grid star product via plane-wave decomposition.
 
-    n=1 is moyal_fast_many on the one pair (f, g).  For n=2 the product
-    kernel factors over the two symplectic pairs, so the pair law
+    n=1 is moyal_fast_many on the one pair (f, g), O(M^3 log M) in a few
+    large FFT and matmul calls.  For n=2 the product kernel factors over
+    the two symplectic pairs, so the pair law
         (sum_a u_a x v_a) * (sum_b u'_b x v'_b)
             = sum_{a,b} (u_a * u'_b) x (v_a * v'_b)
     is exact.  split_pairs gives the factors of both inputs by a checked
     cross approximation (O(M^4 r) for rank r, ending in a dense SVD only for
-    near-full-rank input); moyal_fast_many forms all r_f r_g
-    factor products on each pair; one GEMM over the pairs sums the tensor
-    products.
+    near-full-rank input); moyal_fast_many forms all r_f r_g factor
+    products on each pair; real GEMMs over the pairs (_real_factors), one
+    per output row block of _CHUNK entries, sum the tensor products.
     """
     spec = _same_spec(f, g)
     if spec.n == 1:
@@ -281,6 +292,8 @@ def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
 def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction]
                     ) -> list[GridFunction]:
     """All n=1 star products fs[a] * gs[b], f-major, sharing the per-mode transforms.
+
+    The products' samples are views of one (M, M, len(fs), len(gs)) array.
 
     Raises ResourceError before any transform when the len(fs) len(gs)
     products of M² entries each exceed `errors.MAX_ENTRIES`.
@@ -297,7 +310,8 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction]
     gate(count * spec.M ** 2, f"{count} star products")
     fhats = np.stack([to_modes(fn) for fn in fs])
     ghats = np.stack([to_modes(gn) for gn in gs])
-    return [GridFunction(spec, prod) for prod in _fast_pairs_2d(fhats, ghats, spec)]
+    prods = _fast_pairs_2d(fhats, ghats, spec)
+    return [GridFunction(spec, prods[:, :, a, b]) for a in range(len(fs)) for b in range(len(gs))]
 
 
 def _pair_spec(spec: GridSpec, which: int) -> GridSpec:
@@ -306,26 +320,50 @@ def _pair_spec(spec: GridSpec, which: int) -> GridSpec:
                     theta=spec.theta)
 
 
-def _residual_blocks(x: np.ndarray, u: np.ndarray, vh: np.ndarray
-                     ) -> Iterator[tuple[int, np.ndarray]]:
-    """Row blocks of u vh - A for the pair matrix A of samples x, one q1 at a time.
+def _real_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Real operands of a complex product: left @ right is (a @ b).view(float).
 
-    Block q1 holds rows (q1, p1) for all p1: a GEMM into one reused
-    (M, M^2) buffer less the strided x[q1] view, so A is read once and never
-    copied.
+    left = [Re a, Im a]; right stacks the float views of b and of i b, whose
+    rows interleave (Re b, Im b) and (-Im b, Re b).  At the small inner
+    dimensions of the pair split and the pair sums, OpenBLAS runs this real
+    GEMM faster than the complex one.
+    """
+    right = np.ascontiguousarray(np.concatenate((b, 1j * b)))  # C order, whatever b's
+    return np.concatenate((a.real, a.imag), axis=1), right.view(float)
+
+
+def _residual_blocks(x: np.ndarray, u: np.ndarray, vh: np.ndarray) -> Iterator[np.ndarray]:
+    """Column blocks of u vh - A for the pair matrix A of samples x, one q2 at a time.
+
+    Block q2 holds the columns (q2, p2) for all p2, rows (q1, p1) in order,
+    in one reused (M^2, M) buffer: one real GEMM (_real_factors) less the
+    strided x[:, q2] view, which has the same (q1, p1, p2) order, so A is
+    read once and never copied.
     """
     m = len(x)
-    block = np.empty((m, m * m), dtype=complex)
-    cube = block.reshape(m, m, m)  # (p1, q2, p2)
-    for q1 in range(m):
-        np.matmul(u[q1 * m:(q1 + 1) * m], vh, out=block)
-        np.subtract(cube, x[q1].transpose(1, 0, 2), out=cube)
-        yield q1, block
+    left, right = _real_factors(u, vh)
+    block = np.empty((m * m, m), dtype=complex)
+    cube = block.reshape(m, m, m)  # (q1, p1, p2)
+    for q2 in range(m):
+        np.matmul(left, right[:, 2 * m * q2:2 * m * (q2 + 1)], out=block.view(float))
+        np.subtract(cube, x[:, q2], out=cube)
+        yield block
 
 
 def _residual(x: np.ndarray, u: np.ndarray, vh: np.ndarray) -> float:
     """||A - u vh||_F over all of the pair matrix A of samples x."""
-    return float(np.sqrt(sum(np.vdot(b, b).real for _, b in _residual_blocks(x, u, vh))))
+    return float(np.sqrt(sum(np.vdot(b, b).real for b in _residual_blocks(x, u, vh))))
+
+
+def _worst_row(x: np.ndarray, u: np.ndarray, vh: np.ndarray) -> int:
+    """Row (q1, p1) of the pair matrix that holds the largest entry of |A - u vh|."""
+    best, row = -1.0, 0
+    for block in _residual_blocks(x, u, vh):
+        mag = np.abs(block)
+        at = int(np.argmax(mag))
+        if mag.flat[at] > best:
+            best, row = mag.flat[at], at // len(x)
+    return row
 
 
 def split_pairs(f: GridFunction
@@ -347,7 +385,7 @@ def split_pairs(f: GridFunction
     at a cross whose norm is below _CUTOFF times the first cross's.  The QRs
     of both factor stacks and the SVD of their small core give the triplets
     of the approximant.  One pass over A then computes ||A - U diag(s) V^H||_F
-    exactly, one q1 row block at a time, and accepts when it is at most
+    exactly, one q2 column block at a time, and accepts when it is at most
     _CUTOFF s_0: every singular value of A that the approximant misses is
     below the same _CUTOFF s_0 that truncates the result, and the triplets
     agree with those of A to within it.  Otherwise a second pass finds the
@@ -399,12 +437,7 @@ def split_pairs(f: GridFunction
         u, vh = qu @ w, zh @ qv.T
         if _residual(x, u * s, vh) <= _CUTOFF * s.max(initial=0.0):
             break
-        best = -1.0
-        for q1, block in _residual_blocks(x, u * s, vh):
-            mag = np.abs(block)
-            at = int(np.argmax(mag))
-            if mag.flat[at] > best:
-                best, i = mag.flat[at], q1 * m + at // size
+        i = _worst_row(x, u * s, vh)
     keep = np.flatnonzero(s > _CUTOFF * s.max(initial=1e-300))
     left = [u[:, r].reshape(m, m) * s[r] for r in keep]
     right = [vh[r].reshape(m, m) for r in keep]
@@ -420,11 +453,17 @@ def _fast_4d(f: GridFunction, g: GridFunction) -> GridFunction:
     lg = [GridFunction(spec1, x) for x in gl]
     rf = [GridFunction(spec2, x) for x in fr]
     rg = [GridFunction(spec2, x) for x in gr]
-    prod1 = np.array([h.samples for h in moyal_fast_many(lf, lg)])
-    prod2 = np.array([h.samples for h in moyal_fast_many(rf, rg)])
-    # one GEMM sums the pair tensor products into rows (q1, p1) and columns
-    # (q2, p2); the (q1, q2, p1, p2) grid is a view of it
-    acc = prod1.reshape(len(prod1), m * m).T @ prod2.reshape(len(prod2), m * m)
+    prod1 = np.array([h.samples for h in moyal_fast_many(lf, lg)]).reshape(-1, m * m)
+    prod2 = np.array([h.samples for h in moyal_fast_many(rf, rg)]).reshape(-1, m * m)
+    # acc = prod1^T prod2 sums the pair tensor products into rows (q1, p1) and
+    # columns (q2, p2), one real GEMM per L2-sized row block; the
+    # (q1, q2, p1, p2) grid is a view of it
+    left, right = _real_factors(prod1.T, prod2)
+    acc = np.empty((m * m, m * m), dtype=complex)
+    flat = acc.view(float)
+    rows = max(1, _CHUNK // (m * m))
+    for lo in range(0, m * m, rows):
+        np.matmul(left[lo:lo + rows], right, out=flat[lo:lo + rows])
     return GridFunction(spec, acc.reshape(m, m, m, m).transpose(0, 2, 1, 3))
 
 

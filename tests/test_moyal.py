@@ -28,6 +28,7 @@ from hdqkit.moyal import (
 )
 
 TWO_PI_THETA = 2.0 * np.pi * 2.0
+EPS = np.finfo(float).eps
 
 
 # ---------------------------------------------------------------------------
@@ -323,22 +324,48 @@ def test_fast_many_agrees_with_single(spec64, rng):
         assert (got - want).norm < 1e-12 * max(want.norm, 1.0)
 
 
+def per_step_pairs(fhats, ghats, spec):
+    """The momentum-step loop that the batched pair kernel replaced.
+
+    For each momentum mode j of f: A[a, q, k] = f_a(q + (theta/2) xi_p(k),
+    j-mode of p) and B[b, q, k] = g_b(q - (theta/2) xi_p(j), k-mode of p),
+    whose product lands on the output mode j + k.  Returns the products
+    f_a * g_b, f-major, as (len(fhats) len(ghats), M, M).
+    """
+    m = spec.M
+    alt = spec.alternating()
+    ph = moyal._dressing_phase(spec)
+    out = np.zeros((len(fhats), len(ghats), m, m), dtype=complex)
+    for j in range(m):
+        a = m * np.fft.ifft(fhats[:, :, j][:, :, None] * ph[None] * alt[None, :, None], axis=1)
+        b = m * np.fft.ifft(ghats * np.conj(ph[:, j])[None, :, None] * alt[None, :, None],
+                            axis=1)
+        out += np.roll(a[:, None] * b[None], j, axis=3)
+    return (m * np.fft.ifft(out * alt, axis=3)).reshape(-1, m, m)
+
+
 def test_fast_many_across_chunks(rng, monkeypatch):
-    # 3 x 40 products in blocks of max(64, 40): one f row, so at each of the
-    # M = 8 momentum steps the f side is transformed in 3 blocks
+    # 3 x 40 products at M = 8 with the chunk cut to 3 output modes of the
+    # larger side (3 x 8^2 x 40 entries): chunks of 3 + 3 + 2 modes
     spec = GridSpec(n=1, M=8, L=3.0, theta=2.0)
     fs = [random_schwartz(spec, rng) for _ in range(3)]
     gs = [random_schwartz(spec, rng) for _ in range(40)]
-    blocks = []
-    kernel = moyal._f_step
-    monkeypatch.setattr(moyal, "_f_step",
-                        lambda fh, j, ph, alt: blocks.append(len(fh)) or kernel(fh, j, ph, alt))
+    chunks = []
+    matmul = np.matmul
+    monkeypatch.setattr(moyal, "_CHUNK", 3 * 8 * 8 * 40)
+    monkeypatch.setattr(np, "matmul",
+                        lambda *a, **kw: chunks.append(kw["out"].shape[1]) or matmul(*a, **kw))
     batch = moyal_fast_many(fs, gs)
     monkeypatch.undo()
-    assert blocks == [1, 1, 1] * spec.M and len(batch) == 120
+    assert chunks == [3, 3, 2] and len(batch) == 120
+    oracle = per_step_pairs(np.stack([to_modes(h) for h in fs]),
+                            np.stack([to_modes(h) for h in gs]), spec)
     for k, got in enumerate(batch):
         want = moyal_fast(fs[k // 40], gs[k % 40])
         assert (got - want).norm <= 1e-12 * want.norm
+        # the loop sums the same terms in another order: a tolerance of
+        # 64 ulps of the largest entry, fixed before measuring
+        assert np.abs(got.samples - oracle[k]).max() <= 64 * EPS * np.abs(oracle[k]).max()
 
 
 def test_fast_many_rejects_mixed_specs(spec64, spec128):
@@ -515,15 +542,24 @@ def test_split_pairs_resumes_where_the_check_fails(rng, monkeypatch):
     us = [block(np.s_[12:20, 12:20]), block(np.s_[0:4, 0:4])]
     vs = [block(np.s_[12:20, 12:20]), block(np.s_[26:32, 26:32])]
     f = separable_sum(NYQUIST_4D, us, vs)
-    checks = []
-    residual = moyal._residual
+    checks, resumes = [], []
+    residual, worst_row = moyal._residual, moyal._worst_row
     monkeypatch.setattr(moyal, "_residual", lambda *a: checks.append(1) or residual(*a))
+    monkeypatch.setattr(moyal, "_worst_row",
+                        lambda *a: resumes.append((a, worst_row(*a))) or resumes[-1][1])
     left, right, _, _ = split_pairs(f)
     assert len(left) == len(right) == 2
     rec = separable_sum(NYQUIST_4D, left, right).samples
     # measured 2.9e-16
     assert np.abs(rec - f.samples).max() <= 1e-13 * np.abs(f.samples).max()
     assert len(checks) == 2
+    # the sweep resumed from the row (q1, p1) = divmod(row, M) of the
+    # largest entry of the dense residual, inside the missed term's support
+    [((x, u, vh), row)] = resumes
+    pair = x.transpose(0, 2, 1, 3).reshape(32 * 32, -1)
+    assert row == np.argmax(np.abs(pair - u @ vh)) // (32 * 32)
+    q1, p1 = divmod(row, 32)
+    assert q1 < 4 and p1 < 4
 
 
 def test_split_pairs_of_zero_is_empty(rng):
@@ -549,3 +585,85 @@ def test_fast_4d_obeys_pair_law(rng):
         [star(u, u2) for u in us for u2 in us2],
         [star(v, v2) for v in vs for v2 in vs2]).samples
     assert np.abs(h - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def cnormal(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(k=st.integers(1, 8), rows=st.integers(1, 12), cols=st.integers(1, 12),
+       layout=st.sampled_from(["contiguous", "transposed", "strided"]),
+       seed=st.integers(0, 2**32 - 1))
+def test_real_factors_match_complex_matmul(k, rows, cols, layout, seed):
+    rng = np.random.default_rng(seed)
+
+    def draw(n, m):
+        if layout == "transposed":
+            return cnormal(rng, m, n).T
+        if layout == "strided":
+            return cnormal(rng, 2 * n, 3 * m)[::2, ::3]
+        return cnormal(rng, n, m)
+
+    a, b = draw(rows, k), draw(k, cols)
+    left, right = moyal._real_factors(a, b)
+    got = (left @ right).view(complex)
+    # both sides round a sum of 2k real products per part: k ulps each
+    assert np.all(np.abs(got - a @ b) <= 4 * k * EPS * (np.abs(a) @ np.abs(b)))
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(rank=st.integers(1, 4), width=st.integers(0, 5), seed=st.integers(0, 2**32 - 1))
+def test_residual_matches_dense_norm(rank, width, seed):
+    # a rank-r pair matrix at M = 8 against its SVD cut at `width` terms:
+    # the residual is the tail, rounding-level once width >= rank
+    m = 8
+    rng = np.random.default_rng(seed)
+    pair = cnormal(rng, m * m, rank) @ cnormal(rng, rank, m * m)
+    x = np.ascontiguousarray(pair.reshape(m, m, m, m).transpose(0, 2, 1, 3))
+    u, s, vh = np.linalg.svd(pair)
+    u, vh = u[:, :width] * s[:width], vh[:width]
+    want = np.linalg.norm(pair - u @ vh)
+    assert abs(moyal._residual(x, u, vh) - want) <= 1e-14 * np.linalg.norm(pair)
+
+
+@pytest.mark.parametrize("rank", [1, 2, 3, 4])
+def test_fast_4d_matches_the_complex_gemm_composition(rank):
+    # split_pairs, moyal_fast_many and one complex GEMM over the pairs, as
+    # the product was composed before its accumulation went to real GEMMs
+    rng = np.random.default_rng(rank)
+    f = separable_sum(NYQUIST_4D, pair_factors(rng, rank), pair_factors(rng, rank))
+    g = separable_sum(NYQUIST_4D, pair_factors(rng, rank), pair_factors(rng, rank))
+    fl, fr, spec1, spec2 = split_pairs(f)
+    gl, gr, _, _ = split_pairs(g)
+
+    def products(us, vs, spec):
+        out = moyal_fast_many([GridFunction(spec, x) for x in us],
+                              [GridFunction(spec, x) for x in vs])
+        return np.array([h.samples.ravel() for h in out])
+
+    acc = products(fl, gl, spec1).T @ products(fr, gr, spec2)
+    want = acc.reshape((32,) * 4).transpose(0, 2, 1, 3)
+    got = moyal_fast(f, g).samples
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
+
+
+def test_pair_kernel_memory():
+    # 16 x 16 products at M = 64: the 16 MiB output, one factor chunk per
+    # side (a single output mode, 64^2 x 16 entries, is above _CHUNK), and
+    # the input modes with g's doubled for its circulant view
+    spec = GridSpec(n=1, M=64, L=4.5 * np.sqrt(2.0), theta=2.0)
+    rng = np.random.default_rng(0)
+    fs = [GridFunction(spec, cnormal(rng, 64, 64)) for _ in range(16)]
+    gs = [GridFunction(spec, cnormal(rng, 64, 64)) for _ in range(16)]
+    inputs = 16 * 32 * 64 * 64
+    output = 16 * 256 * 64 * 64
+    chunk = 16 * max(moyal._CHUNK, 64 * 64 * 16)
+    tracemalloc.start()
+    try:
+        moyal_fast_many(fs, gs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # measured 23.5 MiB against this 26 MiB (31.3 MiB in the per-step loop)
+    assert peak <= output + 2 * chunk + 4 * inputs
