@@ -12,30 +12,30 @@ exact identity: for C unitary, the commutant of the ᴴ-closed set
 diag(A, C⁻¹AC) is {[[q₁, q₂C], [C⁻¹q₃, C⁻¹q₄C]] : qᵢ ∈ Q = {A}'}, of
 dimension 4 dim Q, and its bicommutant is {diag(z, C⁻¹zC) : z ∈ Q'}.
 
-The multiplier pairs of a unital algebra, which every algebra that passes
-`validate_axioms` is, are (λ(a), ρ(a)) (the paper's first result, in finite
-dimension), and `solve_multipliers` builds them in closed form. The pairs of
-an algebra without a unit, commutants and the center are nullspaces, all
-taken by one kernel, `_null_rows`: the eigenvectors of a closed-form
-Hermitian normal matrix AᴴA (A itself is never built) with eigenvalue at most
-`_TOL` = 1e-10 times max(top one, 1); `_TOL` is also every verifier's pass
-bound. The kernel takes the normal matrix as its exact diagonal blocks, each
-dense, and computes only the null eigenvectors: one `eigvalsh` of each block
-gives the top eigenvalue and the number of eigenvalues below the cut, which
-sizes a random block to the nullspace and a few spare directions, and one
-round of shifted inverse subspace iteration (two LU solves) with a
-Rayleigh–Ritz step finds the nullspace. The multiplier normal is split by its
-exact nonzero pattern (`_multiplier_blocks`) into one block, or several on a
-group, Clifford or matrix algebra's natural basis. `commutant` never builds
-its D² x D² normal: it restricts it to the block-diagonal matrices over the
-eigenvalue clusters of one random Hermitian element of the generators' span
-(`_clusters`), p = sum k² unknowns, and assembles that restriction dense
-(`_cluster_normal`); `center` assembles its d x d normal dense.
-`_null_vectors` splits either the same way (`_components`). Normal
-equations square the condition number of the basis; see `_null_pairs` for
-the supported range. `errors.gate` raises a ResourceError before a normal
-matrix over `errors.MAX_ENTRIES` entries would be needed, or a tensor
-product or an example's structure tensor over that size is built.
+Every algebra that passes `validate_axioms` is unital (the paper's first
+result, in finite dimension: product density and a faithful λ make it a
+finite C*-algebra), so its multiplier pairs are (λ(a), ρ(a)), and
+`solve_multipliers` builds them in closed form from the unit that
+`FiniteHilbertAlgebra.unit` certifies; an algebra without one raises
+StructureError. Commutants and the center are nullspaces, both taken by one
+kernel, `_null_vectors`: the eigenvectors of a closed-form Hermitian normal
+matrix AᴴA (A itself is never built) with eigenvalue at most `_TOL` = 1e-10
+times max(top one, 1); `_TOL` is also every verifier's pass bound. The
+kernel splits the normal matrix into the exact diagonal blocks of its nonzero
+pattern (`_components`), each dense, and computes only the null
+eigenvectors: one `eigvalsh` of each block gives the top eigenvalue and the
+number of eigenvalues below the cut, which sizes a random block to the
+nullspace and a few spare directions, and one round of shifted inverse
+subspace iteration (two LU solves) with a Rayleigh–Ritz step finds the
+nullspace. `commutant` never builds its D² x D² normal: it restricts it to
+the block-diagonal matrices over the eigenvalue clusters of one random
+Hermitian element of the generators' span (`_clusters`), p = sum k²
+unknowns, and assembles that restriction dense (`_cluster_normal`); `center`
+assembles its d x d normal dense. Normal equations square the condition
+number of the basis, so `verify_caract` passes only through cond(q) = 1e2
+(see `solve_multipliers`). `errors.gate` raises a ResourceError before a
+commutant normal over `errors.MAX_ENTRIES` entries would be needed, or a
+tensor product or an example's structure tensor over that size is built.
 
 The module needs only numpy: the Gram's Cholesky factor, orthonormal bases
 and the nullspace kernel all come from `numpy.linalg`, so no hilbert or
@@ -133,7 +133,15 @@ class FiniteHilbertAlgebra:
             raise InvalidGram(f"gram not positive definite: {exc}") from None
 
     def unit(self) -> np.ndarray | None:
-        """Two-sided unit coordinates, or None when the algebra has none."""
+        """Two-sided unit coordinates, or None when the algebra has none.
+
+        The least-squares u of lam(u) = rho(u) = id is accepted when its
+        normwise backward error (Rigal & Gaches, J. ACM 14, 1967) is at most
+        1e-10: ‖rows u - rhs‖ <= 1e-10 (σ_max ‖u‖ + ‖rhs‖), with σ_max the
+        top singular value `lstsq` returns. For q = O diag(logspace) Oᵀ up
+        to cond(q) = 1e5 (six O each) it was at most 8.6e-16 on s3, mat2 and
+        c3, and at least 6.1e-5 on zero4 and zero1+m2.
+        """
         d = self.dim
         c = self.structure
         rows = np.concatenate(
@@ -143,8 +151,9 @@ class FiniteHilbertAlgebra:
             ]
         )
         rhs = np.concatenate([np.eye(d).reshape(-1), np.eye(d).reshape(-1)])
-        u, *_ = np.linalg.lstsq(rows, rhs, rcond=None)
-        if np.linalg.norm(rows @ u - rhs) <= 1e-10 * max(1.0, np.linalg.norm(rhs)):
+        u, _, _, svals = np.linalg.lstsq(rows, rhs, rcond=None)
+        scale = svals[0] * np.linalg.norm(u) + np.linalg.norm(rhs)
+        if np.linalg.norm(rows @ u - rhs) <= 1e-10 * scale:
             return u
         return None
 
@@ -314,7 +323,7 @@ def validate_axioms(alg: FiniteHilbertAlgebra) -> dict[str, Any]:
 
 
 # ---------------------------------------------------------------------------
-# multiplier pairs
+# nullspaces
 # ---------------------------------------------------------------------------
 
 def _components(normal: np.ndarray) -> list[np.ndarray]:
@@ -371,11 +380,11 @@ def _block_null_vectors(block: np.ndarray, cut: float, below: int) -> np.ndarray
     return v @ vecs[:, ritz <= cut]
 
 
-def _null_rows(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarray:
-    """Orthonormal rows spanning the numerical nullspace of an n x n PSD matrix.
+def _null_vectors(normal: np.ndarray) -> np.ndarray:
+    """Orthonormal rows spanning the numerical nullspace of a dense PSD matrix.
 
-    The matrix is given by its exact diagonal blocks, each dense with the
-    indices it occupies, and every row is zero outside its block. Keeps the
+    The matrix is split into the exact diagonal blocks of its nonzero pattern
+    (`_components`), and every row is zero outside its block. Keeps the
     eigenvectors with eigenvalue at most the cut `_TOL` max(λ_max, 1):
     eigenvalues are squared residuals, but the noise floor on true zeros
     scales linearly with the top eigenvalue, so the cut does too. One
@@ -384,35 +393,28 @@ def _null_rows(blocks: list[tuple[np.ndarray, np.ndarray]], n: int) -> np.ndarra
     `_block_null_vectors`. By Cauchy interlacing every Ritz vector it keeps
     lies below the cut. Each solve shrinks a component at eigenvalue μ above
     the cut by cut/(μ - cut) relative to the null ones, under 1e-9 across the
-    spectral gaps of the solver and commutant normals, and the random block
+    spectral gaps of the commutant normals, and the random block
     is `_OVERSAMPLE` wider than that count, so no null direction is missed.
     Rows are written into one array in block order.
     """
-    spectra = [np.linalg.eigvalsh(blk) for blk, _ in blocks]
+    comps = _components(normal)
+    # a one-component normal is not copied
+    blocks = [normal] if len(comps) == 1 else [normal[np.ix_(idx, idx)] for idx in comps]
+    spectra = [np.linalg.eigvalsh(blk) for blk in blocks]
     cut = _TOL * max(max((eigs[-1] for eigs in spectra), default=0.0), 1.0)
     vecs = [_block_null_vectors(blk, cut, int(np.count_nonzero(eigs <= cut)))
-            for (blk, _), eigs in zip(blocks, spectra)]
-    rows = np.zeros((sum(v.shape[1] for v in vecs), n), dtype=complex)
+            for blk, eigs in zip(blocks, spectra)]
+    rows = np.zeros((sum(v.shape[1] for v in vecs), normal.shape[0]), dtype=complex)
     start = 0
-    for (_, idx), v in zip(blocks, vecs):
+    for idx, v in zip(comps, vecs):
         rows[start:start + v.shape[1], idx] = v.T
         start += v.shape[1]
     return rows
 
 
-def _null_vectors(normal: np.ndarray) -> np.ndarray:
-    """Orthonormal rows spanning the numerical nullspace of a dense PSD matrix.
-
-    The matrix is split into the exact diagonal blocks of its nonzero pattern
-    (`_components`), and the nullspace is taken as in `_null_rows`: each
-    block's eigenvalues, but of its eigenvectors only the null ones.
-    """
-    comps = _components(normal)
-    # a one-component normal is not copied
-    if len(comps) == 1:
-        return _null_rows([(normal, comps[0])], normal.shape[0])
-    return _null_rows([(normal[np.ix_(idx, idx)], idx) for idx in comps], normal.shape[0])
-
+# ---------------------------------------------------------------------------
+# multiplier pairs
+# ---------------------------------------------------------------------------
 
 def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
                   rights: np.ndarray) -> np.ndarray:
@@ -433,89 +435,11 @@ def _pair_defects(alg: FiniteHilbertAlgebra, lefts: np.ndarray,
     return defects
 
 
-def _multiplier_blocks(c: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Exact diagonal blocks of the solver's normal matrix for frame constants c.
-
-    Unknown L[a, j] has index a d + j and R[b, i] index d² + b d + i. The
-    blocks are the components (`_components`) of the normal's exact nonzero
-    pattern [[kron(X ≠ 0, I), B ≠ 0], [(B ≠ 0)ᵀ, kron(Y ≠ 0, I)]], each one
-    dense array taken from X, Y and B: a single component in any
-    Haar-rotated algebra, several on a natural basis. A free unknown, such
-    as L[a, ·] when X[a, a] = 0, is an isolated 1 × 1 block. Twisted group
-    algebras split into d blocks of 2d (Cl(6): 64 of 128).
-    """
-    d = c.shape[0]
-    dd = d * d
-    cc = np.conj(c)
-    x = np.einsum("iak,ibk->ab", cc, c)
-    y = np.einsum("ajk,bjk->ab", cc, c)
-    # b[a, j, b, i] from the GEMM [(i, a), (b, j)] = sum_k conj(c[i, a, k]) c[b, j, k]
-    b = -(cc.reshape(dd, d) @ c.reshape(dd, d).T).reshape(d, d, d, d).transpose(1, 3, 2, 0)
-    b = b.reshape(dd, dd)
-    eye, nz = np.eye(d, dtype=bool), b != 0
-    comps = _components(np.block([[np.kron(x != 0, eye), nz], [nz.T, np.kron(y != 0, eye)]]))
-    blocks = []
-    for idx in comps:
-        top, bot = idx[idx < dd], idx[idx >= dd] - dd
-        (la, j), (ra, i) = np.divmod(top, d), np.divmod(bot, d)
-        lr = b[np.ix_(top, bot)]
-        blocks.append((np.block([[x[np.ix_(la, la)] * (j[:, None] == j), lr],
-                                 [lr.conj().T, y[np.ix_(ra, ra)] * (i[:, None] == i)]]), idx))
-    return blocks
-
-
-def _frame_pairs(alg: FiniteHilbertAlgebra, rows: np.ndarray, w: np.ndarray,
-                 winv: np.ndarray) -> list[MultiplierPair]:
-    """Pairs on coordinates, W⁻¹ L_W W and W⁻¹ R_W W, from rows (L_W, R_W) in the frame.
-
-    Each pair's defect is measured on its own, so no residual is larger than
-    the structure tensor, even for the 2d² pairs of a degenerate algebra.
-    """
-    d = alg.dim
-    dd = d * d
-    lefts = winv @ rows[:, :dd].reshape(-1, d, d) @ w
-    rights = winv @ rows[:, dd:].reshape(-1, d, d) @ w
-    defects = _pair_defects(alg, lefts, rights)
-    return [MultiplierPair(lm, rm, float(e)) for lm, rm, e in zip(lefts, rights, defects)]
-
-
-def _null_pairs(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
-    """All multiplier pairs as a nullspace: the kernel path of `solve_multipliers`.
-
-    Neither the d³ x 2d² defect system nor its 2d² x 2d² normal matrix
-    [[kron(X, I), B], [Bᴴ, kron(Y, I)]] is built, with X = sum_i lam_iᴴ lam_i,
-    Y = sum_j rho_jᴴ rho_j and B[(a, j), (b, i)] = -sum_k conj(c[i, a, k])
-    c[b, j, k] from the structure constants c in the orthonormal frame W.
-    The normal is split into the exact blocks of its nonzero pattern
-    (`_multiplier_blocks`), each assembled dense: one block in a generic
-    basis, several in a group or Clifford algebra on its group basis or a
-    matrix algebra on matrix units. The null vectors (L_W, R_W), with
-    eigenvalue at most `_TOL` times the top one, are orthonormal in that
-    stacked vectorization.
-
-    Normal equations square the condition number of a basis change q. For
-    q = O diag(logspace) Oᵀ on s3, mat2 and c3, pair counts are right through
-    cond(q) = 1e4 and break at 1e5; defects relative to max|c| ‖L‖_F grow as
-    cond(q)², up to 7e-12 at 1e3 and 4e-9 at 1e4. `errors.gate` raises
-    ResourceError when the normal matrix (4d⁴ entries, a bound on its d⁴ work
-    arrays and its 4d⁴ boolean pattern) would exceed `errors.MAX_ENTRIES`.
-    `clifford.verify_unital_multipliers` calls this path directly, as the
-    oracle of the unital collapse.
-    """
-    d = alg.dim
-    dd = d * d
-    gate((2 * dd) ** 2, f"solve_multipliers at d={d}")
-    w = alg.frame()
-    winv = np.linalg.inv(w)
-    null = _null_rows(_multiplier_blocks(change_basis(alg, winv).structure), 2 * dd)
-    return _frame_pairs(alg, null, w, winv)
-
-
 def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     """All pairs (L,R) with lam(x) L(y) = rho(y) R(x), orthonormal in the frame.
 
-    With a two-sided unit 1 (`FiniteHilbertAlgebra.unit`), which every
-    algebra that passes `validate_axioms` has, the pairs are exactly
+    Every algebra that passes `validate_axioms` has a two-sided unit 1
+    (`FiniteHilbertAlgebra.unit`), and then the pairs are exactly
     (lam(a), rho(a)): y = 1 gives R = rho(L(1)), x = 1 gives L = lam(R(1)),
     and x = y = 1 gives L(1) = R(1); conversely associativity makes every
     (lam(a), rho(a)) a pair, and lam(a) 1 = a makes a -> (lam(a), rho(a))
@@ -524,28 +448,29 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     to the orthonormal frame W (gram = W†W) as W lam W⁻¹ and W rho W⁻¹,
     stacked as d vectors of 2d² entries and orthonormalised by one QR, so the
     pairs (L_W, R_W) are orthonormal in the stacked vectorization, and are
-    returned on coordinates as W⁻¹ L_W W, W⁻¹ R_W W. Nothing larger than a
-    few structure tensors is allocated. With no normal equations, defects
-    relative to max|c| ‖L‖_F grow more slowly in a basis change q than the
-    kernel's: for q = O diag(logspace) Oᵀ on s3, mat2 and c3 (twelve O
-    each), up to 4.5e-14, 5.4e-13 and 1.1e-12 at cond(q) = 1e2, 1e3 and 1e4,
-    where `unit` still finds the unit for most O. `verify_caract`, whose
-    commutants are still normal equations, passes through cond(q) = 1e2.
+    returned on coordinates as W⁻¹ L_W W, W⁻¹ R_W W with the defects of
+    `_pair_defects`. Nothing larger than a few structure tensors is
+    allocated. Defects relative to max|c| ‖L‖_F grow slowly in a basis
+    change q: for q = O diag(logspace) Oᵀ on s3, mat2 and c3 (six O each),
+    up to 8.2e-15, 8.1e-14, 1.3e-12 and 1.0e-11 at cond(q) = 1e2, 1e3, 1e4
+    and 1e5, with d pairs at every cond(q). `verify_caract`, whose
+    commutants are normal equations, passes through cond(q) = 1e2.
 
-    An algebra without a unit (one with a zero summand, which fails product
-    density), or one whose unit `unit` cannot certify (some bases at cond(q)
-    ≥ 1e4), goes to the nullspace kernel (`_null_pairs`), whose gate,
-    conditioning and cost are stated there.
+    An algebra without a unit, such as one with a zero summand (which fails
+    product density), raises StructureError.
     """
     if alg.unit() is None:
-        return _null_pairs(alg)
+        raise StructureError(f"{alg.name} has no two-sided unit, so its multiplier pairs "
+                             "are not (lam(a), rho(a))")
     c = alg.structure
     d = alg.dim
     w = alg.frame()
     winv = np.linalg.inv(w)
     stacks = w @ np.stack([c.transpose(0, 2, 1), c.transpose(1, 2, 0)], axis=1) @ winv
     rows = np.linalg.qr(stacks.reshape(d, 2 * d * d).T)[0].T
-    return _frame_pairs(alg, rows, w, winv)
+    pairs = winv @ rows.reshape(d, 2, d, d) @ w
+    defects = _pair_defects(alg, pairs[:, 0], pairs[:, 1])
+    return [MultiplierPair(lm, rm, float(e)) for (lm, rm), e in zip(pairs, defects)]
 
 
 def _clusters(gens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -620,7 +545,7 @@ def commutant(generators: Iterable[np.ndarray], ambient_dim: int) -> OperatorSub
     of h. The unknowns are the p = sum k² entries of its diagonal blocks, one
     per eigenvalue cluster of size k, and the p x p restriction of the normal
     is built directly in the frame U (`_cluster_normal`). `_null_vectors`
-    takes its nullspace with the cut of `solve_multipliers`, and each null
+    takes its nullspace with its cut `_TOL` max(λ_max, 1), and each null
     vector Y gives X = U Y Uᴴ, so the basis stays Frobenius-orthonormal.
 
     Merging clusters is always safe: the commutant lies inside the
@@ -753,7 +678,7 @@ def natural_trace_check(alg: FiniteHilbertAlgebra) -> dict[str, Any]:
 def center(alg: FiniteHilbertAlgebra) -> np.ndarray:
     """Orthonormal coordinate basis of {z : lam(z) = rho(z)}, shape (k, d).
 
-    A nullspace by `_null_vectors`, with the cut as in `solve_multipliers`.
+    A nullspace by `_null_vectors`, with its cut `_TOL` max(λ_max, 1).
     """
     c = alg.structure
     d = alg.dim

@@ -263,8 +263,27 @@ def test_unital_multiplier_collapse(m):
     report = clifford.verify_unital_multipliers(m)
     assert report["dimension"] == 4 ** m
     assert report["pass"], report
-    # measured 5.6e-17, 1.8e-16, 7.0e-16; at m = 3 the solve is 64 blocks of 128
+    # measured 0, 2.2e-16, 4.4e-16
     assert report["rebuild_residual"] <= 2e-15
+
+
+def test_unital_verification_catches_a_flipped_export_sign(monkeypatch):
+    # one sign of the dense Cl(4) export flipped: the export keeps its unit,
+    # so the solver still returns 16 pairs, but two of them leave the span of
+    # the sign rule and the algebra is no longer associative (measured
+    # collapse residual and defect 0.35 each)
+    export = clifford.as_hilbert_algebra
+
+    def flipped(m):
+        alg = export(m)
+        alg.structure[5, 9, 5 ^ 9] *= -1
+        return alg
+
+    monkeypatch.setattr(clifford, "as_hilbert_algebra", flipped)
+    report = clifford.verify_unital_multipliers(2)
+    assert report["solver_dimension"] == 16 and report["exact_associativity"]
+    assert not report["pass"]
+    assert report["collapse_residual"] > 0.1 and report["max_pair_defect"] > 0.1
 
 
 def test_unital_verification_rank_cap():

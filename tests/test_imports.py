@@ -60,17 +60,14 @@ def test_algebra_work_loads_no_scipy_linalg():
     # hilbert's frames, orthonormal bases and nullspace kernel run on
     # numpy.linalg alone, and so does every clifford check that reaches them
     run = """
-import numpy as np
 from hdqkit import clifford, hilbert
 m2 = hilbert.example_algebra("full_matrix", n=2)
-zero = hilbert.FiniteHilbertAlgebra(np.zeros((1, 1, 1)), np.eye(1), np.eye(1))
 alg = hilbert.combine(m2, hilbert.example_algebra("cyclic_group", n=3), "direct_sum")
 assert hilbert.validate_axioms(alg)["pass"]
 pairs = hilbert.solve_multipliers(alg)
 assert hilbert.verify_caract(alg, pairs)["pass"]
 assert hilbert.verify_commutant_structure(alg, pairs)["pass"]
 assert len(hilbert.center(alg)) == 4
-assert len(hilbert.solve_multipliers(hilbert.combine(zero, m2, "direct_sum"))) == 14
 assert clifford.verify_unital_multipliers(2)["pass"]
 """
     assert _loaded(_ALL_MODULES, "scipy.linalg", run) == "[]"
