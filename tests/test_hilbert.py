@@ -568,10 +568,11 @@ def test_unit_is_found_for_exactly_the_unital_algebras(name):
                 assert len(hilbert.solve_multipliers(alg)) == d
 
 
-def test_solver_raises_without_a_unit_in_small_memory():
-    # the all-zero d = 65 algebra has no unit: unit()'s least squares on its
-    # 2d² x d rows is the largest work, and no normal or pair is built;
-    # measured peak 3.0 structure tensors
+def test_solver_gates_normal_matrix_size():
+    # no (2d²)² solver normal exists to gate: the all-zero d = 65 algebra has
+    # no unit, unit()'s least squares on its 2d² x d rows is the largest work,
+    # and it raises before any normal or pair is built; measured peak 3.0
+    # structure tensors
     d = 65
     zero = np.zeros((d, d, d), dtype=complex)
     alg = hilbert.FiniteHilbertAlgebra(zero, np.eye(d), np.eye(d), name="zero")
@@ -584,6 +585,26 @@ def test_solver_raises_without_a_unit_in_small_memory():
     finally:
         tracemalloc.stop()
     assert peak < bound
+
+
+def test_degenerate_solver_measures_defects_pair_by_pair():
+    # every (L, R) is a multiplier pair of the all-zero d = 33 algebra; its
+    # 2 * 33² = 2178 frame pairs are measured one (d, d, d) residual at a
+    # time, so the peak stays a few structure tensors (measured 2.03), where
+    # a batched (2178, d, d, d) residual would take 2178 of them
+    d = 33
+    zero = np.zeros((d, d, d), dtype=complex)
+    alg = hilbert.FiniteHilbertAlgebra(zero, np.eye(d), np.eye(d), name="zero")
+    pairs = np.eye(2 * d * d, dtype=complex).reshape(2 * d * d, 2, d, d)
+    tracemalloc.start()
+    try:
+        defects = hilbert._pair_defects(alg, pairs[:, 0], pairs[:, 1])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defects.shape == (2 * d * d,)
+    assert np.all(defects == 0.0)
+    assert peak < 4 * alg.structure.nbytes
 
 
 @pytest.mark.parametrize("rotated", [False, True])
