@@ -22,16 +22,12 @@ kernel, `_null_vectors`: the eigenvectors of a closed-form Hermitian normal
 matrix AᴴA (A itself is never built) with eigenvalue at most `_TOL` = 1e-10
 times max(top one, 1); `_TOL` is also every verifier's pass bound. The
 kernel splits the normal matrix into the exact diagonal blocks of its nonzero
-pattern (`_components`), each dense, and computes only the null
-eigenvectors: one `eigvalsh` of each block gives the top eigenvalue and the
-number of eigenvalues below the cut, which sizes a random block to the
-nullspace and a few spare directions, and one round of shifted inverse
-subspace iteration (two LU solves) with a Rayleigh–Ritz step finds the
-nullspace. `commutant` never builds its D² x D² normal: it restricts it to
-the block-diagonal matrices over the eigenvalue clusters of one random
-Hermitian element of the generators' span (`_clusters`), p = sum k²
-unknowns, and assembles that restriction dense (`_cluster_normal`); `center`
-assembles its d x d normal dense. Normal equations square the condition
+pattern (`_components`), each dense, and takes one `eigh` of each block.
+`commutant` never builds its D² x D² normal: it restricts it to the
+block-diagonal matrices over the eigenvalue clusters of one random Hermitian
+element of the generators' span (`_clusters`), p = sum k² unknowns, and
+assembles that restriction dense (`_cluster_normal`); `center` assembles its
+d x d normal dense. Normal equations square the condition
 number of the basis, so `verify_caract` passes only through cond(q) = 1e2
 (see `solve_multipliers`). `errors.gate` raises a ResourceError before a
 commutant normal over `errors.MAX_ENTRIES` entries would be needed, or a
@@ -83,9 +79,6 @@ Side = Literal["left", "right"]
 
 # nullspace cut relative to max(λ_max, 1), and every verifier's pass bound
 _TOL = 1e-10
-
-# width of _block_null_vectors' one round beyond the eigenvalues below the cut
-_OVERSAMPLE = 4
 
 # smallest eigenvalue gap, relative to max|μ|, at which commutant splits the
 # eigenspaces of its random Hermitian element into separate clusters; at 0.05
@@ -351,59 +344,23 @@ def _components(normal: np.ndarray) -> list[np.ndarray]:
     return comps
 
 
-def _block_null_vectors(block: np.ndarray, cut: float, below: int) -> np.ndarray:
-    """Orthonormal columns spanning the eigenvectors of a block with eigenvalue <= cut.
-
-    One round of block inverse subspace iteration with a Rayleigh–Ritz step
-    (Rutishauser, 1970), sized by `below`, the block's count of eigenvalues
-    at most the cut. A seeded complex Gaussian block of width
-    min(n, below + `_OVERSAMPLE`) takes two LU solves with block - cut·I and
-    then one QR, and the Ritz vectors of the small projected matrix with Ritz
-    value at most the cut are kept; at width n the Ritz step is a full
-    eigensolve. Without a QR between them the two solves amplify a component
-    at eigenvalue μ by (μ - cut)⁻², about cut⁻² ≤ 1e20 on the null ones, far
-    from overflow unless μ lies on the cut. A block with none or all of its
-    eigenvalues at most the cut, a 1 × 1 block among them, needs no solve.
-    """
-    n = len(block)
-    if below in (0, n):
-        return np.eye(n, below, dtype=complex)
-    shifted = block.copy()
-    shifted.flat[::n + 1] -= cut
-    width = min(n, below + _OVERSAMPLE)
-    rng = np.random.default_rng(0)
-    v = rng.standard_normal((n, width)) + 1j * rng.standard_normal((n, width))
-    v = np.linalg.qr(np.linalg.solve(shifted, np.linalg.solve(shifted, v)))[0]
-    # N v before vᴴ: vᴴ N first put the Cl(6) rebuild residual of
-    # clifford.verify_unital_multipliers at 4.1e-15, against 6.7e-16
-    ritz, vecs = np.linalg.eigh(v.conj().T @ (block @ v))
-    return v @ vecs[:, ritz <= cut]
-
-
 def _null_vectors(normal: np.ndarray) -> np.ndarray:
     """Orthonormal rows spanning the numerical nullspace of a dense PSD matrix.
 
     The matrix is split into the exact diagonal blocks of its nonzero pattern
-    (`_components`), and every row is zero outside its block. Keeps the
-    eigenvectors with eigenvalue at most the cut `_TOL` max(λ_max, 1):
-    eigenvalues are squared residuals, but the noise floor on true zeros
-    scales linearly with the top eigenvalue, so the cut does too. One
-    `eigvalsh` per block gives both λ_max, the largest over the blocks, and
-    the block's count of eigenvalues at most the cut, and each block goes to
-    `_block_null_vectors`. By Cauchy interlacing every Ritz vector it keeps
-    lies below the cut. Each solve shrinks a component at eigenvalue μ above
-    the cut by cut/(μ - cut) relative to the null ones, under 1e-9 across the
-    spectral gaps of the commutant normals, and the random block
-    is `_OVERSAMPLE` wider than that count, so no null direction is missed.
-    Rows are written into one array in block order.
+    (`_components`), and every row is zero outside its block. One `eigh` per
+    block; the kernel keeps the eigenvectors with eigenvalue at most the cut
+    `_TOL` max(λ_max, 1), λ_max the largest over the blocks: eigenvalues are
+    squared residuals, but the noise floor on true zeros scales linearly
+    with the top eigenvalue, so the cut does too. Rows are written into one
+    array in block order.
     """
     comps = _components(normal)
     # a one-component normal is not copied
     blocks = [normal] if len(comps) == 1 else [normal[np.ix_(idx, idx)] for idx in comps]
-    spectra = [np.linalg.eigvalsh(blk) for blk in blocks]
-    cut = _TOL * max(max((eigs[-1] for eigs in spectra), default=0.0), 1.0)
-    vecs = [_block_null_vectors(blk, cut, int(np.count_nonzero(eigs <= cut)))
-            for blk, eigs in zip(blocks, spectra)]
+    spectra = [np.linalg.eigh(blk) for blk in blocks]
+    cut = _TOL * max(max((eigs[-1] for eigs, _ in spectra), default=0.0), 1.0)
+    vecs = [v[:, eigs <= cut] for eigs, v in spectra]
     rows = np.zeros((sum(v.shape[1] for v in vecs), normal.shape[0]), dtype=complex)
     start = 0
     for idx, v in zip(comps, vecs):
@@ -457,7 +414,9 @@ def solve_multipliers(alg: FiniteHilbertAlgebra) -> list[MultiplierPair]:
     commutants are normal equations, passes through cond(q) = 1e2.
 
     An algebra without a unit, such as one with a zero summand (which fails
-    product density), raises StructureError.
+    product density), raises StructureError. Associativity is not checked: a
+    non-associative algebra that still has a unit gets d pairs, flagged only
+    by each `MultiplierPair.defect`, so callers run `validate_axioms` first.
     """
     if alg.unit() is None:
         raise StructureError(f"{alg.name} has no two-sided unit, so its multiplier pairs "
@@ -545,8 +504,9 @@ def commutant(generators: Iterable[np.ndarray], ambient_dim: int) -> OperatorSub
     of h. The unknowns are the p = sum k² entries of its diagonal blocks, one
     per eigenvalue cluster of size k, and the p x p restriction of the normal
     is built directly in the frame U (`_cluster_normal`). `_null_vectors`
-    takes its nullspace with its cut `_TOL` max(λ_max, 1), and each null
-    vector Y gives X = U Y Uᴴ, so the basis stays Frobenius-orthonormal.
+    takes its nullspace by one `eigh` per exact block, with its cut `_TOL`
+    max(λ_max, 1), and each null vector Y gives X = U Y Uᴴ, so the basis
+    stays Frobenius-orthonormal.
 
     Merging clusters is always safe: the commutant lies inside the
     block-diagonal space of any coarser split, which only enlarges the

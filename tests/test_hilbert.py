@@ -480,12 +480,11 @@ def test_unital_pairs_span_the_kernel_nullspace(alg):
 
 
 def refuse_the_kernel(monkeypatch) -> None:
-    """Make every nullspace kernel entry point fail the test if reached."""
+    """Make the nullspace kernel fail the test if reached."""
     def refused(*args):
         raise AssertionError("the nullspace kernel ran")
 
     monkeypatch.setattr(hilbert, "_null_vectors", refused)
-    monkeypatch.setattr(hilbert, "_block_null_vectors", refused)
 
 
 @pytest.mark.parametrize("rotated", [False, True])
@@ -737,58 +736,14 @@ def test_null_vectors_match_eigh_on_hidden_blocks(case):
     assert len(hilbert._components(normal)) == comps
     rows = hilbert._null_vectors(normal)
     assert rows.shape == (null_dim, normal.shape[0])
+    # each row lives on one exact block: labelled as in naive_commutant, the
+    # entries where it is nonzero all carry one component's label
+    count, label = csgraph.connected_components(sparse.csr_array(normal != 0), directed=False)
+    assert count == comps
+    assert all(len(np.unique(label[row != 0])) == 1 for row in rows)
     assert np.abs(rows @ rows.conj().T - np.eye(null_dim)).max(initial=0.0) <= 1e-12
     got = rows.T @ rows.conj()  # projector sum_r |r><r|
     assert np.abs(got - eigh_null_projector(normal, null_dim)).max() <= 1e-12
-
-
-@st.composite
-def wide_block_normals(draw, null):
-    """One dense block N = U diag(eigs) Uᴴ (Haar U) of size n <= 48 with `null`
-    zero eigenvalues (all n when null is None), wide enough that the kernel's
-    one random block can be narrower than N.
-
-    The kernel's width is min(n, k + 4) for the k eigenvalues below the cut
-    (the nullity, plus one with the near-cut pair), and n >= 9 (n >= 33 from
-    nullity 8): nullities 3 and 27 always give a block narrower than N, and
-    4, 5, 28 and 29 can give one as wide as N at the smallest n, where the
-    Ritz step is a full eigensolve.
-    The nonzero eigenvalues lie in [1/4, 4] with 4 attained, so the cut is
-    4e-10 at `_TOL` = 1e-10; optionally two of them move to 0.5 cut and 2 cut. An
-    all-null block has eigenvalues in [0, 5e-11], below its cut of 1e-10.
-    Returns (N, whether the near-cut pair is present).
-    """
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    n = draw(st.integers(9 if null is None or null < 8 else 33, 48))
-    near_cut = False
-    if null is None:
-        eigs = rng.uniform(0.0, 5e-11, n)
-    else:
-        eigs = np.concatenate([np.zeros(null), [4.0], rng.uniform(0.25, 4.0, n - null - 1)])
-        near_cut = n - null >= 3 and draw(st.booleans())
-        if near_cut:
-            eigs[null + 1:null + 3] = [0.5 * 4e-10, 2.0 * 4e-10]
-    u = haar_unitary(rng, n)
-    return (u * eigs) @ u.conj().T, near_cut
-
-
-@pytest.mark.parametrize("null", [0, 3, 4, 5, 27, 28, 29, None])
-@given(data=st.data())
-@settings(derandomize=True, max_examples=12, deadline=None)
-def test_null_vectors_match_eigh_across_block_widths(null, data):
-    normal, near_cut = data.draw(wide_block_normals(null))
-    assert len(hilbert._components(normal)) == 1
-    rows = hilbert._null_vectors(normal)
-    eigs = np.linalg.eigvalsh(normal)
-    count = int(np.count_nonzero(eigs <= max(eigs[-1], 1.0) * 1e-10))
-    assert rows.shape == (count, normal.shape[0])
-    assert count == (normal.shape[0] if null is None else null + near_cut)
-    assert np.abs(rows @ rows.conj().T - np.eye(count)).max(initial=0.0) <= 1e-12
-    if not near_cut:
-        # eigenvectors at 0.5 cut and 2 cut are only resolved to about
-        # ε λ_max / cut by any eigensolver, so there only the count is compared
-        got = rows.T @ rows.conj()
-        assert np.abs(got - eigh_null_projector(normal, count)).max() <= 1e-12
 
 
 def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
@@ -797,12 +752,10 @@ def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
     # 13, the dimension of λ(A)' and of λ(A)''. Each is the restriction to the
     # diagonal blocks of one random Hermitian element's eigenclusters,
     # p = sum k² instead of D² = 169: the eigenspaces have sizes 2, 2, 3, 3, 3
-    # (λ(A) is M₂ ⊗ I₂ ⊕ M₃ ⊗ I₃). On this draw gaps under `_CLUSTER` merge
-    # them into 3, 5, 5 for λ(A)' (p = 59) and into 3, 2, 3, 5 for λ(A)''
-    # (p = 47), whose element is drawn over the basis of λ(A)' that the
-    # kernel returns. The kernel takes one eigvalsh of each block; the only
-    # eigenvectors are those of that element (13 x 13) and of the Rayleigh–Ritz
-    # matrices, of width nullity + `_OVERSAMPLE`.
+    # (λ(A) is M₂ ⊗ I₂ ⊕ M₃ ⊗ I₃), and gaps under `_CLUSTER` merge some of
+    # them, by a split that moves with rounding, so p is read from `_clusters`.
+    # The only eigensolves are those of that element (13 x 13) and one `eigh`
+    # of each p x p restriction, a single exact block.
     calls = {"eigh": [], "eigvalsh": []}
 
     def recording(solver, sizes):
@@ -813,10 +766,15 @@ def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
 
     for module, name in [(scipy.linalg, "eigh"), (np.linalg, "eigh"), (np.linalg, "eigvalsh")]:
         monkeypatch.setattr(module, name, recording(getattr(module, name), calls[name]))
-    blocks = []
-    kernel = hilbert._block_null_vectors
-    monkeypatch.setattr(hilbert, "_block_null_vectors",
-                        lambda blk, cut, below: blocks.append(len(blk)) or kernel(blk, cut, below))
+    restrictions = []
+    clusters = hilbert._clusters
+
+    def recording_clusters(gens):
+        u, sizes = clusters(gens)
+        restrictions.append(int(np.sum(sizes ** 2)))
+        return u, sizes
+
+    monkeypatch.setattr(hilbert, "_clusters", recording_clusters)
     rng = np.random.default_rng(11)
     mat4 = named_algebra("mat4")
     pairs = hilbert.solve_multipliers(hilbert.change_basis(mat4, haar_unitary(rng, 16)))
@@ -824,9 +782,9 @@ def test_no_large_eigensolve_on_the_hot_path(monkeypatch):
     assert calls == {"eigh": [], "eigvalsh": []}
     m2m3 = hilbert.combine(named_algebra("mat2"), named_algebra("mat3"), mode="direct_sum")
     assert hilbert.verify_caract(hilbert.change_basis(m2m3, haar_unitary(rng, 13)))["pass"]
-    assert blocks == calls["eigvalsh"] == [59, 47]
-    ritz = 13 + hilbert._OVERSAMPLE
-    assert calls["eigh"] == [13, ritz, 13, ritz]
+    assert len(restrictions) == 2 and max(restrictions) < 169
+    assert calls["eigvalsh"] == []
+    assert calls["eigh"] == [13, restrictions[0], 13, restrictions[1]]
 
 
 def test_null_vectors_edge_cases():
@@ -842,14 +800,19 @@ def test_null_vectors_edge_cases():
 def planted_psd_blocks(draw):
     """A Haar-rotated PSD block of size n <= 40 with a planted nullity and its
     other eigenvalues in [1/4, 4], two of them optionally moved to 0.5 cut and
-    2 cut for the cut `_TOL` max(λ_max, 1) of `_null_vectors`."""
+    2 cut for the cut `_TOL` max(λ_max, 1) of `_null_vectors`; or, for one
+    seed in five, a block with all its eigenvalues in [0, 5e-11], where the
+    floor 1 sets the cut at 1e-10 and every eigenvector is kept."""
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     n = draw(st.integers(2, 40))
-    null = draw(st.integers(0, n))
-    eigs = np.concatenate([np.zeros(null), rng.uniform(0.25, 4.0, n - null)])
-    if n - null >= 2 and draw(st.booleans()):
-        cut = hilbert._TOL * max(eigs[null + 2:].max(initial=0.0), 1.0)
-        eigs[null:null + 2] = [0.5 * cut, 2.0 * cut]
+    if rng.uniform() < 0.2:
+        eigs = rng.uniform(0.0, 5e-11, n)
+    else:
+        null = draw(st.integers(0, n))
+        eigs = np.concatenate([np.zeros(null), rng.uniform(0.25, 4.0, n - null)])
+        if n - null >= 2 and draw(st.booleans()):
+            cut = hilbert._TOL * max(eigs[null + 2:].max(initial=0.0), 1.0)
+            eigs[null:null + 2] = [0.5 * cut, 2.0 * cut]
     u = haar_unitary(rng, n)
     return (u * eigs) @ u.conj().T
 
@@ -857,11 +820,10 @@ def planted_psd_blocks(draw):
 @given(planted_psd_blocks())
 @settings(derandomize=True, max_examples=60, deadline=None)
 def test_dense_block_counts_eigenvalues_below_the_cut(normal):
-    # `_null_vectors` counts a dense block's eigenvalues at most the cut from its
-    # eigvalsh and returns that many orthonormal rows, each of them in the
-    # span of the eigenvalues at most 0.5 cut; measured worst over the 60
-    # draws: orthonormality 3.6e-15, residual 0.5 cut + 5e-17
-    n = len(normal)
+    # `_null_vectors` keeps a dense block's eigenvectors at most the cut and
+    # returns that many orthonormal rows, each of them in the span of the
+    # eigenvalues at most 0.5 cut; measured worst over the 60 draws:
+    # orthonormality 2.2e-15, residual 0.5 cut + 9.5e-17
     eigs = np.linalg.eigvalsh(normal)
     cut = hilbert._TOL * max(eigs[-1], 1.0)
     rows = hilbert._null_vectors(normal)
@@ -872,24 +834,20 @@ def test_dense_block_counts_eigenvalues_below_the_cut(normal):
 
 @pytest.mark.parametrize("cond", [1.0, 1e2, 1e4, 1e5])
 @pytest.mark.parametrize("name", ["s3", "mat2", "c3"])
-def test_top_eigenvalue_on_solver_normals(name, cond, monkeypatch):
-    # the cut that `_null_vectors` hands the kernel is `_TOL` times the top of
-    # the blocks' eigvalsh, here the dense normal's λ_max (4 to 12, so above
-    # the floor of 1); measured worst relative error 1.5e-16 (s3 at 1e2)
+def test_top_eigenvalue_on_solver_normals(name, cond):
+    # `_null_vectors` cuts at `_TOL` times the top eigenvalue, here the dense
+    # normal's λ_max (4 to 12, so above the floor of 1), and returns as many
+    # rows as eigvalsh finds at most that cut
     base = named_algebra(name)
     d = base.dim
     o, _ = np.linalg.qr(np.random.default_rng(0).normal(size=(d, d)))
     normal = dense_solver_normal(frame_structure(hilbert.change_basis(
         base, o @ np.diag(np.logspace(0.0, np.log10(cond), d)) @ o.T)))
     assert len(hilbert._components(normal)) == 1
-    cuts = []
-    kernel = hilbert._block_null_vectors
-    monkeypatch.setattr(hilbert, "_block_null_vectors",
-                        lambda blk, cut, below: cuts.append(cut) or kernel(blk, cut, below))
-    hilbert._null_vectors(normal)
-    want = np.linalg.eigvalsh(normal)[-1]
-    assert want > 1.0 and len(cuts) == 1
-    assert abs(cuts[0] - hilbert._TOL * want) <= 1e-10 * hilbert._TOL * want
+    eigs = np.linalg.eigvalsh(normal)
+    assert eigs[-1] > 1.0
+    rows = hilbert._null_vectors(normal)
+    assert len(rows) == np.count_nonzero(eigs <= hilbert._TOL * eigs[-1])
 
 
 def test_operator_subspace_matches_loop_oracles(rng):
