@@ -23,6 +23,7 @@ against the direct quadrature below, not assumed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterator, Literal, Sequence
 
 import numpy as np
@@ -128,6 +129,17 @@ class GridFunction:
         return GridFunction(self.spec, scalar * self.samples)
 
 
+def _finite_grid(spec: GridSpec, samples: np.ndarray) -> GridFunction:
+    """GridFunction of complex samples of spec.shape already known to be finite.
+
+    Skips the constructor's finiteness scan, for a product whose sum of
+    squares was taken while it was computed.
+    """
+    out = object.__new__(GridFunction)
+    out.spec, out.samples = spec, samples
+    return out
+
+
 def _same_spec(f: GridFunction, g: GridFunction) -> GridSpec:
     if f.spec != g.spec:
         raise SpecMismatch(f"grid specs differ: {f.spec} vs {g.spec}")
@@ -138,13 +150,20 @@ def integrate(f: GridFunction) -> complex:
     return complex(f.spec.cell * f.samples.sum())
 
 
+@lru_cache(maxsize=16)
+def _mode_scale(spec: GridSpec) -> np.ndarray:
+    """(-1)^k / M in fftfreq ordering, read-only: to_modes' factor on each axis."""
+    out = spec.alternating() / spec.M
+    out.flags.writeable = False
+    return out
+
+
 def to_modes(f: GridFunction) -> np.ndarray:
     """Coefficients c_k with f = sum c_k exp(i xi_k x), all axes."""
-    out = f.samples
-    m = f.spec.M
-    alt = f.spec.alternating()
+    out = np.fft.fftn(f.samples)
+    scale = _mode_scale(f.spec)
     for ax in range(out.ndim):
-        out = np.fft.fft(out, axis=ax) * alt.reshape((-1,) + (1,) * (out.ndim - 1 - ax)) / m
+        out *= scale.reshape((-1,) + (1,) * (out.ndim - 1 - ax))
     return out
 
 
@@ -216,11 +235,14 @@ def moyal_direct(f: GridFunction, g: GridFunction,
 # fast path: plane-wave decomposition in the momentum axis
 # ---------------------------------------------------------------------------
 
+@lru_cache(maxsize=16)
 def _dressing_phase(spec: GridSpec) -> np.ndarray:
-    """P[kq, kp] = exp(i (theta/2) xi_q(kq) xi_p(kp)) for the n=1 fast path."""
+    """P[kq, kp] = exp(i (theta/2) xi_q(kq) xi_p(kp)) for the n=1 fast path, read-only."""
     xq = spec.modes(0)
     xp = spec.modes(1)
-    return np.exp(0.5j * spec.theta * np.outer(xq, xp))
+    out = np.exp(0.5j * spec.theta * np.outer(xq, xp))
+    out.flags.writeable = False
+    return out
 
 
 def _circulant(x: np.ndarray) -> np.ndarray:
@@ -280,6 +302,12 @@ def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
     near-full-rank input); moyal_fast_many forms all r_f r_g factor
     products on each pair; real GEMMs over the pairs (_real_factors), one
     per output row block of _CHUNK entries, sum the tensor products.
+
+    The output's finiteness is checked where it is computed: at n=1 by one
+    sum of squares over moyal_fast_many's product array, at n=2 by each row
+    block's sum of squares, taken right after its GEMM (see _fast_4d).
+    Neither rescans the output; an overflowed sum falls back to the
+    GridFunction constructor's check.
     """
     spec = _same_spec(f, g)
     if spec.n == 1:
@@ -293,7 +321,9 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction]
                     ) -> list[GridFunction]:
     """All n=1 star products fs[a] * gs[b], f-major, sharing the per-mode transforms.
 
-    The products' samples are views of one (M, M, len(fs), len(gs)) array.
+    The products' samples are views of one (M, M, len(fs), len(gs)) array,
+    checked finite by one sum of squares over all of it; only when that
+    overflows does each product go through the GridFunction constructor.
 
     Raises ResourceError before any transform when the len(fs) len(gs)
     products of M² entries each exceed `errors.MAX_ENTRIES`.
@@ -311,9 +341,13 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction]
     fhats = np.stack([to_modes(fn) for fn in fs])
     ghats = np.stack([to_modes(gn) for gn in gs])
     prods = _fast_pairs_2d(fhats, ghats, spec)
-    return [GridFunction(spec, prods[:, :, a, b]) for a in range(len(fs)) for b in range(len(gs))]
+    # one sum of squares checks every product (errors._finite's rule)
+    flat = prods.view(float).ravel()
+    wrap = _finite_grid if np.isfinite(np.vdot(flat, flat)) else GridFunction
+    return [wrap(spec, prods[:, :, a, b]) for a in range(len(fs)) for b in range(len(gs))]
 
 
+@lru_cache(maxsize=16)
 def _pair_spec(spec: GridSpec, which: int) -> GridSpec:
     """2-d spec of one symplectic pair of a 4-d grid."""
     return GridSpec(n=1, M=spec.M, L=(spec.L[which], spec.L[which + 2]),
@@ -333,21 +367,22 @@ def _real_factors(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]
 
 
 def _residual_blocks(x: np.ndarray, u: np.ndarray, vh: np.ndarray) -> Iterator[np.ndarray]:
-    """Column blocks of u vh - A for the pair matrix A of samples x, one q2 at a time.
+    """Slabs of u vh - A for the pair matrix A of samples x, one q1 at a time.
 
-    Block q2 holds the columns (q2, p2) for all p2, rows (q1, p1) in order,
-    in one reused (M^2, M) buffer: one real GEMM (_real_factors) less the
-    strided x[:, q2] view, which has the same (q1, p1, p2) order, so A is
-    read once and never copied.
+    Slab q1 holds the rows (q1, p1) for all p1, as (q2, p1, p2) like the
+    samples' own x[q1], in one reused (M, M, M) buffer: one batched real
+    GEMM (_real_factors) of u's M rows (q1, .) against each of vh's M column
+    blocks (q2, .), less x[q1] in place.  So A is read once, in its stored
+    order, and never copied.
     """
     m = len(x)
     left, right = _real_factors(u, vh)
-    block = np.empty((m * m, m), dtype=complex)
-    cube = block.reshape(m, m, m)  # (q1, p1, p2)
-    for q2 in range(m):
-        np.matmul(left, right[:, 2 * m * q2:2 * m * (q2 + 1)], out=block.view(float))
-        np.subtract(cube, x[:, q2], out=cube)
-        yield block
+    blocks = np.ascontiguousarray(right.reshape(-1, m, 2 * m).swapaxes(0, 1))  # (q2, 2r, 2 p2)
+    slab = np.empty((m, m, m), dtype=complex)  # (q2, p1, p2)
+    for q1 in range(m):
+        np.matmul(left[m * q1:m * (q1 + 1)], blocks, out=slab.view(float))
+        np.subtract(slab, x[q1], out=slab)
+        yield slab
 
 
 def _residual(x: np.ndarray, u: np.ndarray, vh: np.ndarray) -> float:
@@ -357,12 +392,13 @@ def _residual(x: np.ndarray, u: np.ndarray, vh: np.ndarray) -> float:
 
 def _worst_row(x: np.ndarray, u: np.ndarray, vh: np.ndarray) -> int:
     """Row (q1, p1) of the pair matrix that holds the largest entry of |A - u vh|."""
+    m = len(x)
     best, row = -1.0, 0
-    for block in _residual_blocks(x, u, vh):
-        mag = np.abs(block)
-        at = int(np.argmax(mag))
+    for q1, slab in enumerate(_residual_blocks(x, u, vh)):
+        mag = np.abs(slab)
+        at = int(np.argmax(mag))  # (q2, p1, p2) in the slab
         if mag.flat[at] > best:
-            best, row = mag.flat[at], at // len(x)
+            best, row = mag.flat[at], m * q1 + at // m % m
     return row
 
 
@@ -385,17 +421,20 @@ def split_pairs(f: GridFunction
     at a cross whose norm is below _CUTOFF times the first cross's.  The QRs
     of both factor stacks and the SVD of their small core give the triplets
     of the approximant.  One pass over A then computes ||A - U diag(s) V^H||_F
-    exactly, one q2 column block at a time, and accepts when it is at most
-    _CUTOFF s_0: every singular value of A that the approximant misses is
-    below the same _CUTOFF s_0 that truncates the result, and the triplets
-    agree with those of A to within it.  Otherwise a second pass finds the
-    largest residual entry and the sweep resumes from its row, always taking
-    that first cross, so each failed check adds rank.  The second pass stays
-    apart because a merged one would tax every check, and most checks pass
-    (every input of the benchmark's `star-n2` passes its first): per (M^2, M) block at M = 32,
-    one BLAS thread, the check's `vdot` takes 14-19 us, a row-norm
-    accumulation 20-22 us and the second pass's abs and argmax 69-72 us.
-    A is read only
+    exactly, in the samples' stored order: one contiguous (q2, p1, p2) slab
+    x[q1] at a time, the approximant's slab by one batched real GEMM and
+    subtracted in place.  It accepts when the norm is at most _CUTOFF s_0:
+    every singular value of A that the approximant misses is below the same
+    _CUTOFF s_0 that truncates the result, and the triplets agree with those
+    of A to within it.  Otherwise a second pass finds the largest residual
+    entry and the sweep resumes from its row, always taking that first
+    cross, so each failed check adds rank.  The second pass stays apart
+    because a merged one would tax every check, and most checks pass (every
+    input of the benchmark's `star-n2` passes its first): per (M, M, M) slab
+    at M = 32, rank 2, one BLAS thread, the GEMM takes 27 us, the check's
+    `vdot` 13-17 us, a row-norm accumulation 35-39 us and the second pass's
+    abs and argmax 75-77 us; one whole check takes 2.5-3.0 ms on star-n2's
+    inputs.  A is read only
     through these rows, columns and passes, never copied, except that once
     the rank reaches M^2 / _DENSE_SHARE the split is the dense SVD of A
     itself.  No step is random, so a call is deterministic.
@@ -450,6 +489,15 @@ def split_pairs(f: GridFunction
 
 
 def _fast_4d(f: GridFunction, g: GridFunction) -> GridFunction:
+    """n=2 moyal_fast: split both inputs, multiply the pair factors, sum the tensor products.
+
+    The sum of squares of each accumulation row block is taken right after
+    its GEMM, while the block is still in cache.  A finite total means every
+    entry is finite (errors._finite's rule), so the product is wrapped
+    without a second scan of its M^4 entries; a NaN, an inf or entries
+    above about 1e154 make the total non-finite, and then the GridFunction
+    constructor decides, as for any other samples.
+    """
     spec = f.spec
     m = spec.M
     fl, fr, spec1, spec2 = split_pairs(f)
@@ -467,9 +515,15 @@ def _fast_4d(f: GridFunction, g: GridFunction) -> GridFunction:
     acc = np.empty((m * m, m * m), dtype=complex)
     flat = acc.view(float)
     rows = max(1, _CHUNK // (m * m))
+    square = 0.0  # of every entry, summed block by block while it is in cache
     for lo in range(0, m * m, rows):
-        np.matmul(left[lo:lo + rows], right, out=flat[lo:lo + rows])
-    return GridFunction(spec, acc.reshape(m, m, m, m).transpose(0, 2, 1, 3))
+        block = flat[lo:lo + rows]
+        np.matmul(left[lo:lo + rows], right, out=block)
+        square += float(np.vdot(block, block))
+    samples = acc.reshape(m, m, m, m).transpose(0, 2, 1, 3)
+    if np.isfinite(square):
+        return _finite_grid(spec, samples)
+    return GridFunction(spec, samples)  # an overflowed sum: the entrywise scan decides
 
 
 # ---------------------------------------------------------------------------

@@ -261,8 +261,8 @@ def test_array_refuses_bools_ragged_nesting_and_lossy_kinds():
 
 
 def test_array_finiteness_is_exact_on_strided_and_huge_entries():
-    # finiteness is read off one sum of squares, and only a non-finite sum
-    # falls back to the entrywise scan
+    # below errors._DOT_ENTRIES entries finiteness is one entrywise scan
+    # (the dot path's side of the cutoff is the test after this one)
     base = np.ones((6, 4), complex)
     for entry in (np.nan, np.inf, complex(0.0, -np.inf)):
         bad = base.copy()
@@ -274,6 +274,32 @@ def test_array_finiteness_is_exact_on_strided_and_huge_entries():
     assert errors.array(huge, (3, 5), "value", float) is huge
     assert errors.array(huge[:, ::2] * (1 - 1j), (3, 3), "value", complex).shape == (3, 3)
     assert errors.array(np.zeros((0, 4)), (0, 4), "value", float).size == 0
+
+
+@pytest.mark.parametrize("shape", [(31, 33), (32, 32), (48, 64)])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_finiteness_verdict_is_the_same_on_both_sides_of_the_dot_cutoff(shape, dtype):
+    # 1023 entries take the entrywise scan, 1024 and 3072 the one sum of
+    # squares; a NaN or an inf anywhere is refused on both sides, and entries
+    # whose squares overflow the sum (above 1e154) are kept without a warning
+    size = shape[0] * shape[1]
+    assert (size < errors._DOT_ENTRIES) == (shape == (31, 33))
+    bad = [np.nan, np.inf, -np.inf] + ([complex(0.0, -np.inf), complex(np.nan, 1.0)]
+                                        if dtype is complex else [])
+    views = {"transposed": lambda: np.ones(shape[::-1], dtype).T,
+             "strided": lambda: np.ones((shape[0], 2 * shape[1]), dtype)[:, ::2]}
+    for name, make in views.items():
+        for at in (0, size // 2, size - 1):
+            for entry in bad:
+                view = make()
+                view[np.unravel_index(at, shape)] = entry
+                assert not errors._finite(view), (name, at, entry)
+                with pytest.raises(SpecMismatch):
+                    errors.array(view, shape, "value", dtype)
+        huge = make()
+        huge *= 1e200
+        assert errors._finite(huge)
+        assert errors.array(huge, shape, "value", dtype) is huge
 
 
 def test_complex_inputs_are_kept_without_a_copy():

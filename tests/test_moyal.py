@@ -530,9 +530,25 @@ def test_split_pairs_is_deterministic(rng):
 
 
 def test_split_pairs_resumes_where_the_check_fails(rng, monkeypatch):
-    # two terms with disjoint supports in both pairs: the sweep from the
-    # centre row sees only the first, so the first check fails and the sweep
-    # resumes from the row of the largest residual entry
+    # first, _worst_row alone: the slab walk in (q1, q2, p1, p2) order maps
+    # its argmax back to the dense argmax's row on a rank-3 input cut to 0-2
+    # terms, whether the samples are stored in that order or are a
+    # transposed view (checked before any sweep, which a wrong row can
+    # resume on a zero row forever)
+    factors = pair_factors(np.random.default_rng(3), 6)
+    pair = separable_sum(NYQUIST_4D, factors[:3], factors[3:]).samples
+    pair = pair.transpose(0, 2, 1, 3).reshape(32 * 32, -1)
+    big, s, small = np.linalg.svd(pair)
+    for width in range(3):
+        u, vh = big[:, :width] * s[:width], small[:width]
+        want = np.argmax(np.abs(u @ vh - pair)) // (32 * 32)
+        for x in (np.ascontiguousarray(pair.reshape((32,) * 4).transpose(0, 2, 1, 3)),
+                  pair.reshape((32,) * 4).transpose(0, 2, 1, 3)):
+            assert moyal._worst_row(x, u, vh) == want
+
+    # then two terms with disjoint supports in both pairs: the sweep from
+    # the centre row sees only the first, so the first check fails and the
+    # sweep resumes from the row of the largest residual entry
     def block(support):
         out = np.zeros((32, 32), dtype=complex)
         shape = out[support].shape
@@ -585,6 +601,28 @@ def test_fast_4d_obeys_pair_law(rng):
         [star(u, u2) for u in us for u2 in us2],
         [star(v, v2) for v in vs for v2 in vs2]).samples
     assert np.abs(h - want).max() <= 1e-13 * np.abs(want).max()
+
+
+def test_fast_4d_output_check_falls_back_when_the_sum_of_squares_overflows(rng, monkeypatch):
+    # inputs scaled by 2^266 (about 1.2e80): every float step scales by a
+    # power of two, and the product's entries, scaled by 2^532, pass 1e154,
+    # so the accumulation's sum of squares overflows while each entry stays
+    # finite; the product then goes through the GridFunction constructor
+    scale = 2.0 ** 266
+    f = separable_sum(NYQUIST_4D, pair_factors(rng, 2), pair_factors(rng, 2))
+    g = separable_sum(NYQUIST_4D, pair_factors(rng, 2), pair_factors(rng, 2))
+    big_f, big_g = scale * f, scale * g
+    checked = []
+    post_init = GridFunction.__post_init__
+    monkeypatch.setattr(GridFunction, "__post_init__",
+                        lambda self: checked.append(self.spec.n) or post_init(self))
+    want = moyal_fast(f, g).samples
+    assert 2 not in checked  # a finite sum: the product is wrapped unscanned
+    got = moyal_fast(big_f, big_g).samples
+    assert checked.count(2) == 1
+    want = scale ** 2 * want
+    assert np.abs(want).max() > 1e155
+    assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
 
 
 def cnormal(rng, *shape):
