@@ -607,7 +607,9 @@ def test_fast_4d_output_check_falls_back_when_the_sum_of_squares_overflows(rng, 
     # inputs scaled by 2^266 (about 1.2e80): every float step scales by a
     # power of two, and the product's entries, scaled by 2^532, pass 1e154,
     # so the accumulation's sum of squares overflows while each entry stays
-    # finite; the product then goes through the GridFunction constructor
+    # finite; the product then goes through the GridFunction constructor,
+    # and so do the first pair's 4 products in moyal_fast_many, whose
+    # factors carry the singular values
     scale = 2.0 ** 266
     f = separable_sum(NYQUIST_4D, pair_factors(rng, 2), pair_factors(rng, 2))
     g = separable_sum(NYQUIST_4D, pair_factors(rng, 2), pair_factors(rng, 2))
@@ -617,9 +619,12 @@ def test_fast_4d_output_check_falls_back_when_the_sum_of_squares_overflows(rng, 
     monkeypatch.setattr(GridFunction, "__post_init__",
                         lambda self: checked.append(self.spec.n) or post_init(self))
     want = moyal_fast(f, g).samples
-    assert 2 not in checked  # a finite sum: the product is wrapped unscanned
+    # finite sums: only the split factors take the constructor
+    factors = len(checked)
+    assert checked == [1] * factors
+    checked.clear()
     got = moyal_fast(big_f, big_g).samples
-    assert checked.count(2) == 1
+    assert checked.count(2) == 1 and checked.count(1) == factors + 4
     want = scale ** 2 * want
     assert np.abs(want).max() > 1e155
     assert np.abs(got - want).max() <= 1e-15 * np.abs(want).max()
