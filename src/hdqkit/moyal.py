@@ -306,7 +306,7 @@ def moyal_fast(f: GridFunction, g: GridFunction) -> GridFunction:
     The output's finiteness is checked where it is computed: at n=1 by one
     sum of squares over moyal_fast_many's product array, at n=2 by each row
     block's sum of squares, taken right after its GEMM (see _fast_4d).
-    Neither rescans the output; an overflowed sum falls back to the
+    Neither rescans the output; a sum that is not finite falls back to the
     GridFunction constructor's check.
     """
     spec = _same_spec(f, g)
@@ -322,8 +322,8 @@ def moyal_fast_many(fs: Sequence[GridFunction], gs: Sequence[GridFunction]
     """All n=1 star products fs[a] * gs[b], f-major, sharing the per-mode transforms.
 
     The products' samples are views of one (M, M, len(fs), len(gs)) array,
-    checked finite by one sum of squares over all of it; only when that
-    overflows does each product go through the GridFunction constructor.
+    checked finite by one sum of squares over all of it; only when that sum
+    is not finite does each product go through the GridFunction constructor.
 
     Raises ResourceError before any transform when the len(fs) len(gs)
     products of M² entries each exceed `errors.MAX_ENTRIES`.
